@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,12 +58,17 @@ inline void put_blob(std::vector<u8>& out, const std::vector<u8>& b) {
 
 /// Bounds-checked big-endian reader (same shape as the journal's).
 struct Cursor {
-  const std::vector<u8>& in;
-  size_t pos;
+  const u8* in;
+  size_t size;
+  size_t pos = 0;
   bool ok = true;
 
+  Cursor(const u8* data, size_t n) : in(data), size(n) {}
+  Cursor(const std::vector<u8>& v, size_t at)
+      : in(v.data()), size(v.size()), pos(at) {}
+
   bool have(size_t n) {
-    if (!ok || pos > in.size() || in.size() - pos < n) ok = false;
+    if (!ok || pos > size || size - pos < n) ok = false;
     return ok;
   }
   u8 get8() {
@@ -91,19 +97,88 @@ struct Cursor {
   std::string get_string() {
     const u32 len = get32();
     if (!have(len)) return {};
-    std::string s(in.begin() + static_cast<long>(pos),
-                  in.begin() + static_cast<long>(pos + len));
+    std::string s(in + pos, in + pos + len);
     pos += len;
     return s;
   }
   std::vector<u8> get_blob() {
     const u32 len = get32();
     if (!have(len)) return {};
-    std::vector<u8> b(in.begin() + static_cast<long>(pos),
-                      in.begin() + static_cast<long>(pos + len));
+    std::vector<u8> b(in + pos, in + pos + len);
     pos += len;
     return b;
   }
+  /// Every byte consumed and nothing short: a clean decode.
+  bool done() const { return ok && pos == size; }
 };
+
+/// Incremental reader for one "magic | u32 len | payload | fnv64" stream:
+/// the framing both the KFFR status frames and the KFNM network messages
+/// use.  feed() appends raw pipe or socket bytes; next() pops the earliest
+/// complete payload through `Decode`, or nullopt while only a partial frame
+/// is buffered.  A bad magic, a length over `max_len`, a checksum mismatch
+/// or a payload `Decode` rejects latches corrupted(): the peer is not
+/// speaking the protocol.  An oversized length latches as soon as the
+/// 8-byte header is in, before any of the claimed payload is buffered.
+template <typename T, u32 kMagic, u32 kDefaultMaxLen,
+          std::optional<T> (*Decode)(const u8* payload, size_t len)>
+class FramedReader {
+ public:
+  explicit FramedReader(u32 max_len = kDefaultMaxLen) : max_len_(max_len) {}
+
+  void feed(const u8* data, size_t size) {
+    // Compact the consumed prefix before growing, so a long-lived stream
+    // doesn't accumulate every frame it ever saw.
+    if (pos_ > 0 && pos_ == buf_.size()) {
+      buf_.clear();
+      pos_ = 0;
+    } else if (pos_ > 65536) {
+      buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(pos_));
+      pos_ = 0;
+    }
+    buf_.insert(buf_.end(), data, data + size);
+  }
+
+  std::optional<T> next() {
+    if (corrupted_) return std::nullopt;
+    Cursor c{buf_, pos_};
+    if (!c.have(8)) return std::nullopt;  // need magic + length
+    if (c.get32() != kMagic) return corrupt();
+    const u32 len = c.get32();
+    if (len > max_len_) return corrupt();
+    if (!c.have(size_t{len} + 8)) return std::nullopt;  // partial: wait
+    const u8* payload = buf_.data() + c.pos;
+    c.pos += len;
+    if (c.get64() != fnv1a(payload, len)) return corrupt();
+    std::optional<T> out = Decode(payload, len);
+    if (!out) return corrupt();
+    pos_ = c.pos;
+    return out;
+  }
+
+  bool corrupted() const { return corrupted_; }
+
+ private:
+  std::optional<T> corrupt() {
+    corrupted_ = true;
+    return std::nullopt;
+  }
+
+  std::vector<u8> buf_;
+  size_t pos_ = 0;  // consumed prefix, compacted lazily
+  u32 max_len_;
+  bool corrupted_ = false;
+};
+
+/// Frame `payload` as "magic | u32 len | payload | fnv64".
+inline std::vector<u8> frame_payload(u32 magic, const std::vector<u8>& payload) {
+  std::vector<u8> out;
+  out.reserve(payload.size() + 16);
+  put32(out, magic);
+  put32(out, static_cast<u32>(payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
+  put64(out, fnv1a(payload.data(), payload.size()));
+  return out;
+}
 
 }  // namespace kfi::fabric::codec

@@ -19,19 +19,26 @@ namespace kfi::fabric {
 
 namespace {
 
-constexpr u32 kMsgMagic = 0x4B464E4D;  // "KFNM"
-// Journal blobs dominate message size; a 16-record shard is a few KB and
-// even a million-record shard stays far under this.
-constexpr u32 kMaxMsgLen = 256u << 20;
-
 using codec::Cursor;
-using codec::fnv1a;
 using codec::put8;
 using codec::put32;
 using codec::put64;
 using codec::put_blob;
 using codec::put_double;
 using codec::put_string;
+
+/// Move `size` bytes through `io(offset, count)` (a read/write/send),
+/// retrying short transfers and EINTR.  Any other error, or EOF, fails.
+template <typename Io>
+bool transfer_all(size_t size, Io io) {
+  for (size_t at = 0; at < size;) {
+    const ssize_t n = io(at, size - at);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    at += static_cast<size_t>(n);
+  }
+  return true;
+}
 
 std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -41,45 +48,23 @@ std::string errno_text(const char* what) {
 
 bool write_all(int fd, const void* data, size_t size) {
   const u8* p = static_cast<const u8*>(data);
-  while (size > 0) {
-    const ssize_t n = ::write(fd, p, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
+  return transfer_all(size, [&](size_t at, size_t n) {
+    return ::write(fd, p + at, n);
+  });
 }
 
 bool send_all(int fd, const void* data, size_t size) {
   const u8* p = static_cast<const u8*>(data);
-  while (size > 0) {
-    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
+  return transfer_all(size, [&](size_t at, size_t n) {
+    return ::send(fd, p + at, n, MSG_NOSIGNAL);
+  });
 }
 
 bool read_exact(int fd, void* data, size_t size) {
   u8* p = static_cast<u8*>(data);
-  while (size > 0) {
-    const ssize_t n = ::read(fd, p, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;  // EOF mid-read
-    p += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
+  return transfer_all(size, [&](size_t at, size_t n) {
+    return ::read(fd, p + at, n);
+  });
 }
 
 int tcp_listen(const std::string& bind_addr, u16 port, std::string* err) {
@@ -195,14 +180,7 @@ std::vector<u8> encode_message(const NetMessage& msg) {
   payload.reserve(msg.body.size() + 1);
   put8(payload, static_cast<u8>(msg.type));
   payload.insert(payload.end(), msg.body.begin(), msg.body.end());
-
-  std::vector<u8> out;
-  out.reserve(payload.size() + 16);
-  put32(out, kMsgMagic);
-  put32(out, static_cast<u32>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  put64(out, fnv1a(payload.data(), payload.size()));
-  return out;
+  return codec::frame_payload(kMsgMagic, payload);
 }
 
 bool send_message(int fd, const NetMessage& msg) {
@@ -210,50 +188,14 @@ bool send_message(int fd, const NetMessage& msg) {
   return send_all(fd, bytes.data(), bytes.size());
 }
 
-void MsgReader::feed(const u8* data, size_t size) {
-  if (pos_ > 0 && pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  } else if (pos_ > 65536) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(pos_));
-    pos_ = 0;
-  }
-  buf_.insert(buf_.end(), data, data + size);
-}
-
-std::optional<NetMessage> MsgReader::next() {
-  if (corrupted_) return std::nullopt;
-  Cursor c{buf_, pos_};
-  if (!c.have(8)) return std::nullopt;
-  if (c.get32() != kMsgMagic) {
-    corrupted_ = true;
+std::optional<NetMessage> decode_message_payload(const u8* payload,
+                                                 size_t len) {
+  if (len < 1 || payload[0] < static_cast<u8>(MsgType::kSubmit) ||
+      payload[0] > static_cast<u8>(MsgType::kJournal)) {
     return std::nullopt;
   }
-  const u32 len = c.get32();
-  if (len < 1 || len > kMaxMsgLen) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  if (!c.have(len + 8)) return std::nullopt;  // partial message: wait
-  const size_t payload_at = c.pos;
-  c.pos += len;
-  const u64 checksum = c.get64();
-  if (checksum != fnv1a(buf_.data() + payload_at, len)) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  const u8 type = buf_[payload_at];
-  if (type < static_cast<u8>(MsgType::kSubmit) ||
-      type > static_cast<u8>(MsgType::kJournal)) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  NetMessage msg;
-  msg.type = static_cast<MsgType>(type);
-  msg.body.assign(buf_.begin() + static_cast<long>(payload_at + 1),
-                  buf_.begin() + static_cast<long>(payload_at + len));
-  pos_ = c.pos;
-  return msg;
+  return NetMessage{static_cast<MsgType>(payload[0]),
+                    std::vector<u8>(payload + 1, payload + len)};
 }
 
 std::vector<u8> encode_submit(const SubmitRequest& req) {
@@ -288,7 +230,7 @@ std::optional<SubmitRequest> decode_submit(const std::vector<u8>& body) {
   req.flush = c.get8();
   req.indices = c.get_string();
   req.spec = c.get_blob();
-  if (!c.ok || c.pos != body.size()) return std::nullopt;
+  if (!c.done()) return std::nullopt;
   return req;
 }
 
@@ -306,7 +248,7 @@ std::optional<AcceptInfo> decode_accept(const std::vector<u8>& body) {
   info.plan_fingerprint = c.get64();
   info.resumed = c.get32();
   info.pid = c.get32();
-  if (!c.ok || c.pos != body.size()) return std::nullopt;
+  if (!c.done()) return std::nullopt;
   return info;
 }
 
@@ -327,7 +269,7 @@ std::optional<Refusal> decode_refusal(const std::vector<u8>& body) {
   }
   refusal.code = static_cast<RefuseCode>(code);
   refusal.reason = c.get_string();
-  if (!c.ok || c.pos != body.size()) return std::nullopt;
+  if (!c.done()) return std::nullopt;
   return refusal;
 }
 

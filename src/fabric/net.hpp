@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "fabric/codec.hpp"
 
 namespace kfi::fabric {
 
@@ -85,21 +86,26 @@ std::vector<u8> encode_message(const NetMessage& msg);
 /// encode_message + write_all in one step.
 bool send_message(int fd, const NetMessage& msg);
 
+/// Decode one KFNM payload (type byte + body).  Returns nullopt on an
+/// empty payload or a type outside MsgType.
+std::optional<NetMessage> decode_message_payload(const u8* payload,
+                                                 size_t len);
+
+constexpr u32 kMsgMagic = 0x4B464E4D;  // "KFNM"
+/// Journal blobs dominate message size; a 16-record shard is a few KB and
+/// even a million-record shard stays far under this.
+constexpr u32 kMaxMsgLen = 256u << 20;
+/// Cap on the one message a daemon reads, the kSubmit: a spec blob and an
+/// index-range string, about 200 bytes for a contiguous shard.  Same cap
+/// as a KFFR frame, so a peer cannot make a session buffer more.
+constexpr u32 kMaxSubmitLen = 1u << 20;
+
 /// Incremental KFNM decoder, same contract as wire.hpp's FrameReader:
 /// feed() raw socket bytes, next() pops complete messages, corruption
-/// (bad magic, bad checksum, unknown type, absurd length) latches
+/// (bad magic, bad checksum, unknown type, over-long length) latches
 /// corrupted() and the peer should be dropped.
-class MsgReader {
- public:
-  void feed(const u8* data, size_t size);
-  std::optional<NetMessage> next();
-  bool corrupted() const { return corrupted_; }
-
- private:
-  std::vector<u8> buf_;
-  size_t pos_ = 0;
-  bool corrupted_ = false;
-};
+using MsgReader = codec::FramedReader<NetMessage, kMsgMagic, kMaxMsgLen,
+                                      decode_message_payload>;
 
 /// Why a daemon refused a submission.  kSkew and kBadRequest are hard
 /// configuration errors (the client aborts with a typed FabricError

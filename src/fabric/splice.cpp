@@ -1,40 +1,13 @@
 #include "fabric/splice.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <optional>
 
-#include "errnoinj/errno_model.hpp"
-#include "inject/fault_model.hpp"
 #include "inject/plan.hpp"
 
 namespace kfi::fabric {
 
 namespace {
-
-constexpr u32 kJournalMagic = 0x4B46494A;  // "KFIJ" (journal.cpp's framing)
-constexpr u32 kEntryMagic = 0x4B464945;    // "KFIE"
-
-u64 fnv1a(const u8* data, size_t size) {
-  u64 h = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-void put32(std::vector<u8>& out, u32 v) {
-  out.push_back(static_cast<u8>(v >> 24));
-  out.push_back(static_cast<u8>(v >> 16));
-  out.push_back(static_cast<u8>(v >> 8));
-  out.push_back(static_cast<u8>(v));
-}
-
-void put64(std::vector<u8>& out, u64 v) {
-  put32(out, static_cast<u32>(v >> 32));
-  put32(out, static_cast<u32>(v));
-}
 
 /// FNV over every field of an entry that enters the result fingerprint
 /// or the campaign merge.  Two entries for the same index must agree on
@@ -113,33 +86,9 @@ inject::CampaignResult splice_journals(const inject::CampaignPlan& plan,
   const u32 total = static_cast<u32>(plan.targets.size());
   std::vector<std::optional<inject::JournalEntry>> chosen(total);
 
-  const u64 want_plan = inject::plan_fingerprint(plan);
-  const u64 want_model = inject::fault_model_fingerprint(plan.spec.model);
-  const u64 want_errno =
-      errnoinj::errno_model_fingerprint(plan.spec.errno_model);
-
   for (const std::string& path : paths) {
     inject::JournalFileData data = inject::read_journal_file(path);
-    if (data.plan_fingerprint != want_plan) {
-      throw inject::JournalError("shard journal " + path +
-                                 " was written for a different campaign "
-                                 "plan (fingerprint mismatch)");
-    }
-    if (data.version >= inject::kJournalVersionV3 &&
-        data.fault_model_fingerprint != want_model) {
-      throw inject::JournalError("shard journal " + path +
-                                 " was written for a different fault model");
-    }
-    if (data.version >= inject::kJournalVersion &&
-        data.errno_model_fingerprint != want_errno) {
-      throw inject::JournalError("shard journal " + path +
-                                 " was written for a different errno model");
-    }
-    if (data.total != total) {
-      throw inject::JournalError(
-          "shard journal " + path + " expects " + std::to_string(data.total) +
-          " targets, plan has " + std::to_string(total));
-    }
+    inject::check_journal_plan(data, plan, path);
     ++stats.files;
     choose_entries(chosen, std::move(data.entries), path, stats);
   }
@@ -210,17 +159,7 @@ SpliceStats splice_journal_files(const std::vector<std::string>& paths,
     throw inject::JournalError("cannot create spliced journal at " +
                                out_path);
   }
-  std::vector<u8> header;
-  put32(header, kJournalMagic);
-  put32(header, first->version);
-  put64(header, first->plan_fingerprint);
-  if (first->version >= inject::kJournalVersionV3) {
-    put64(header, first->fault_model_fingerprint);
-  }
-  if (first->version >= inject::kJournalVersion) {
-    put64(header, first->errno_model_fingerprint);
-  }
-  put32(header, first->total);
+  const std::vector<u8> header = inject::encode_journal_header(*first);
   out.write(reinterpret_cast<const char*>(header.data()),
             static_cast<long>(header.size()));
   for (u32 i = 0; i < first->total; ++i) {
@@ -230,15 +169,8 @@ SpliceStats splice_journal_files(const std::vector<std::string>& paths,
     }
     ++stats.chosen;
     if (is_quarantined(*chosen[i])) ++stats.quarantined;
-    std::vector<u8> payload;
-    inject::serialize_journal_entry(payload, *chosen[i], first->version);
-    std::vector<u8> frame;
-    frame.reserve(payload.size() + 20);
-    put32(frame, kEntryMagic);
-    put32(frame, i);
-    put32(frame, static_cast<u32>(payload.size()));
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    put64(frame, fnv1a(payload.data(), payload.size()));
+    const std::vector<u8> frame =
+        inject::encode_journal_frame(*chosen[i], first->version);
     out.write(reinterpret_cast<const char*>(frame.data()),
               static_cast<long>(frame.size()));
   }

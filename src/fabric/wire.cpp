@@ -1,5 +1,6 @@
 #include "fabric/wire.hpp"
 
+#include <cstdio>
 #include <cstring>
 
 #include "fabric/codec.hpp"
@@ -9,10 +10,8 @@ namespace kfi::fabric {
 namespace {
 
 constexpr u8 kSpecVersion = 1;
-constexpr u32 kFrameMagic = 0x4B464652;  // "KFFR"
 
 using codec::Cursor;
-using codec::fnv1a;
 using codec::put8;
 using codec::put32;
 using codec::put64;
@@ -124,7 +123,7 @@ std::optional<inject::CampaignSpec> deserialize_campaign_spec(
   e.trigger = static_cast<errnoinj::ErrnoTrigger>(etrigger);
   e.nth = c.get32();
   e.rate = c.get_double();
-  if (!c.ok || c.pos != in.size()) return std::nullopt;
+  if (!c.done()) return std::nullopt;
   return spec;
 }
 
@@ -137,6 +136,13 @@ std::string to_hex(const std::vector<u8>& bytes) {
     out.push_back(digits[b & 0xF]);
   }
   return out;
+}
+
+std::string fingerprint_hex(u64 fp) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(fp));
+  return buf;
 }
 
 std::optional<std::vector<u8>> from_hex(const std::string& hex) {
@@ -174,57 +180,16 @@ std::vector<u8> encode_frame(const StatusFrame& frame) {
   put64(payload, frame.backoff_waits);
   put_double(payload, frame.backoff_seconds);
   put_string(payload, frame.message);
-
-  std::vector<u8> out;
-  out.reserve(payload.size() + 16);
-  put32(out, kFrameMagic);
-  put32(out, static_cast<u32>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  put64(out, fnv1a(payload.data(), payload.size()));
-  return out;
+  return codec::frame_payload(kFrameMagic, payload);
 }
 
-void FrameReader::feed(const u8* data, size_t size) {
-  // Compact the consumed prefix before growing, so a long-lived stream
-  // doesn't accumulate every frame it ever saw.
-  if (pos_ > 0 && pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  } else if (pos_ > 4096) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(pos_));
-    pos_ = 0;
-  }
-  buf_.insert(buf_.end(), data, data + size);
-}
-
-std::optional<StatusFrame> FrameReader::next() {
-  if (corrupted_) return std::nullopt;
-  Cursor c{buf_, pos_};
-  if (!c.have(8)) return std::nullopt;  // need magic + length
-  if (c.get32() != kFrameMagic) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  const u32 len = c.get32();
-  if (len > (1u << 20)) {  // no legitimate frame is a megabyte
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  if (!c.have(len + 8)) return std::nullopt;  // partial frame: wait
-  const size_t payload_at = c.pos;
-  c.pos += len;
-  const u64 checksum = c.get64();
-  if (checksum != fnv1a(buf_.data() + payload_at, len)) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-
-  Cursor p{buf_, payload_at};
+std::optional<StatusFrame> decode_frame_payload(const u8* payload,
+                                                size_t len) {
+  Cursor p{payload, len};
   StatusFrame frame;
   const u8 type = p.get8();
   if (type < static_cast<u8>(FrameType::kHello) ||
       type > static_cast<u8>(FrameType::kError)) {
-    corrupted_ = true;
     return std::nullopt;
   }
   frame.type = static_cast<FrameType>(type);
@@ -241,11 +206,7 @@ std::optional<StatusFrame> FrameReader::next() {
   frame.backoff_waits = p.get64();
   frame.backoff_seconds = p.get_double();
   frame.message = p.get_string();
-  if (!p.ok || p.pos != payload_at + len) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  pos_ = c.pos;
+  if (!p.done()) return std::nullopt;
   return frame;
 }
 

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "fabric/codec.hpp"
 #include "inject/plan.hpp"
 
 namespace kfi::fabric {
@@ -42,6 +43,8 @@ std::optional<inject::CampaignSpec> deserialize_campaign_spec(
 
 /// Lower-case hex codec for passing blobs through argv.
 std::string to_hex(const std::vector<u8>& bytes);
+/// A 64-bit fingerprint as 16 lower-case hex digits.
+std::string fingerprint_hex(u64 fp);
 std::optional<std::vector<u8>> from_hex(const std::string& hex);
 
 enum class FrameType : u8 {
@@ -87,20 +90,18 @@ struct StatusFrame {
 
 std::vector<u8> encode_frame(const StatusFrame& frame);
 
-/// Incremental frame decoder over a byte stream.  feed() appends raw pipe
-/// bytes; next() pops the earliest complete frame, or nullopt while the
-/// buffer holds only a partial frame.  A checksum or magic mismatch
-/// latches corrupted() — the coordinator treats that worker as faulty.
-class FrameReader {
- public:
-  void feed(const u8* data, size_t size);
-  std::optional<StatusFrame> next();
-  bool corrupted() const { return corrupted_; }
+/// Decode one frame's payload (the bytes between length and checksum).
+/// Returns nullopt on an unknown type, truncation or trailing bytes.
+std::optional<StatusFrame> decode_frame_payload(const u8* payload,
+                                                size_t len);
 
- private:
-  std::vector<u8> buf_;
-  size_t pos_ = 0;  // consumed prefix, compacted lazily
-  bool corrupted_ = false;
-};
+constexpr u32 kFrameMagic = 0x4B464652;   // "KFFR"
+constexpr u32 kMaxFrameLen = 1u << 20;    // no legitimate frame is a megabyte
+
+/// Incremental frame decoder over a pipe or kStatus byte stream; frames
+/// may arrive split or coalesced, corruption latches corrupted() and the
+/// coordinator treats that worker as faulty.
+using FrameReader = codec::FramedReader<StatusFrame, kFrameMagic,
+                                        kMaxFrameLen, decode_frame_payload>;
 
 }  // namespace kfi::fabric

@@ -441,6 +441,62 @@ JournalFileData read_journal_file(const std::string& path) {
   return data;
 }
 
+void check_journal_plan(const JournalFileData& data, const CampaignPlan& plan,
+                        const std::string& path) {
+  if (data.plan_fingerprint != plan_fingerprint(plan)) {
+    throw JournalError("journal " + path +
+                       " was written for a different campaign plan "
+                       "(fingerprint mismatch)");
+  }
+  if (data.version >= kJournalVersionV3 &&
+      data.fault_model_fingerprint !=
+          fault_model_fingerprint(plan.spec.model)) {
+    throw JournalError("journal " + path +
+                       " was written for a different fault model "
+                       "(fingerprint mismatch)");
+  }
+  if (data.version >= kJournalVersion &&
+      data.errno_model_fingerprint !=
+          errnoinj::errno_model_fingerprint(plan.spec.errno_model)) {
+    throw JournalError("journal " + path +
+                       " was written for a different errno model "
+                       "(fingerprint mismatch)");
+  }
+  if (data.total != plan.targets.size()) {
+    throw JournalError("journal " + path + " expects " +
+                       std::to_string(data.total) + " targets, plan has " +
+                       std::to_string(plan.targets.size()));
+  }
+}
+
+std::vector<u8> encode_journal_header(const JournalFileData& header) {
+  std::vector<u8> out;
+  put32(out, kJournalMagic);
+  put32(out, header.version);
+  put64(out, header.plan_fingerprint);
+  if (header.version >= kJournalVersionV3) {
+    put64(out, header.fault_model_fingerprint);
+  }
+  if (header.version >= kJournalVersion) {
+    put64(out, header.errno_model_fingerprint);
+  }
+  put32(out, header.total);
+  return out;
+}
+
+std::vector<u8> encode_journal_frame(const JournalEntry& entry, u32 version) {
+  std::vector<u8> payload;
+  serialize_journal_entry(payload, entry, version);
+  std::vector<u8> frame;
+  frame.reserve(payload.size() + 20);
+  put32(frame, kEntryMagic);
+  put32(frame, entry.index);
+  put32(frame, static_cast<u32>(payload.size()));
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  put64(frame, fnv1a(payload.data(), payload.size()));
+  return frame;
+}
+
 InjectionJournal::InjectionJournal(std::string path, u32 version, int fd,
                                    FlushPolicy policy,
                                    std::vector<JournalEntry> recovered)
@@ -488,13 +544,13 @@ InjectionJournal InjectionJournal::create(const std::string& path,
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
   if (fd < 0) throw JournalError("cannot create journal at " + path);
-  std::vector<u8> header;
-  put32(header, kJournalMagic);
-  put32(header, kJournalVersion);
-  put64(header, plan_fingerprint(plan));
-  put64(header, fault_model_fingerprint(plan.spec.model));
-  put64(header, errnoinj::errno_model_fingerprint(plan.spec.errno_model));
-  put32(header, static_cast<u32>(plan.targets.size()));
+  JournalFileData fields;
+  fields.plan_fingerprint = plan_fingerprint(plan);
+  fields.fault_model_fingerprint = fault_model_fingerprint(plan.spec.model);
+  fields.errno_model_fingerprint =
+      errnoinj::errno_model_fingerprint(plan.spec.errno_model);
+  fields.total = static_cast<u32>(plan.targets.size());
+  const std::vector<u8> header = encode_journal_header(fields);
   if (!write_all(fd, header.data(), header.size())) {
     ::close(fd);
     throw JournalError("cannot write journal header to " + path);
@@ -510,30 +566,7 @@ InjectionJournal InjectionJournal::resume(const std::string& path,
                                           const CampaignPlan& plan,
                                           FlushPolicy policy) {
   JournalFileData data = read_journal_file(path);
-  if (data.plan_fingerprint != plan_fingerprint(plan)) {
-    throw JournalError("journal " + path +
-                       " was written for a different campaign plan "
-                       "(fingerprint mismatch)");
-  }
-  if (data.version >= kJournalVersionV3 &&
-      data.fault_model_fingerprint !=
-          fault_model_fingerprint(plan.spec.model)) {
-    throw JournalError("journal " + path +
-                       " was written for a different fault model "
-                       "(fingerprint mismatch)");
-  }
-  if (data.version >= kJournalVersion &&
-      data.errno_model_fingerprint !=
-          errnoinj::errno_model_fingerprint(plan.spec.errno_model)) {
-    throw JournalError("journal " + path +
-                       " was written for a different errno model "
-                       "(fingerprint mismatch)");
-  }
-  if (data.total != plan.targets.size()) {
-    throw JournalError("journal " + path + " expects " +
-                       std::to_string(data.total) + " targets, plan has " +
-                       std::to_string(plan.targets.size()));
-  }
+  check_journal_plan(data, plan, path);
   if (data.intact_end < data.file_size) {
     std::filesystem::resize_file(path, data.intact_end);
   }
@@ -544,17 +577,9 @@ InjectionJournal InjectionJournal::resume(const std::string& path,
 }
 
 void InjectionJournal::append(const JournalEntry& entry) {
-  std::vector<u8> payload;
   // Append in the file's own version so a resumed v1 journal stays a
   // uniform v1 file (its header promises no propagation blocks).
-  serialize_journal_entry(payload, entry, version_);
-  std::vector<u8> frame;
-  frame.reserve(payload.size() + 20);
-  put32(frame, kEntryMagic);
-  put32(frame, entry.index);
-  put32(frame, static_cast<u32>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  put64(frame, fnv1a(payload.data(), payload.size()));
+  const std::vector<u8> frame = encode_journal_frame(entry, version_);
 
   const std::lock_guard<std::mutex> lock(*mutex_);
   if (fd_ < 0) throw JournalError("cannot append to journal " + path_);

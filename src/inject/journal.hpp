@@ -111,6 +111,17 @@ struct JournalFileData {
 /// the file is missing or the header is malformed.
 JournalFileData read_journal_file(const std::string& path);
 
+/// Throws JournalError unless the journal `data`, read from `path`, was
+/// written for `plan`: plan, fault-model and errno-model fingerprints (as
+/// far as its version records them) and target count all match.
+void check_journal_plan(const JournalFileData& data, const CampaignPlan& plan,
+                        const std::string& path);
+
+/// On-disk bytes of a journal header with `header`'s version,
+/// fingerprints and total, and of one framed entry in `version`'s layout.
+std::vector<u8> encode_journal_header(const JournalFileData& header);
+std::vector<u8> encode_journal_frame(const JournalEntry& entry, u32 version);
+
 class InjectionJournal {
  public:
   /// Start a fresh journal at `path` (truncates any existing file) for

@@ -13,11 +13,17 @@
 //
 // KFI_WORKER_BIN is injected by the build so the coordinator spawns the
 // freshly built worker, not whatever is on PATH.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 
 #include "fabric/coordinator.hpp"
+#include "fabric/wire.hpp"
 #include "inject/campaign.hpp"
 #include "inject/plan.hpp"
 
@@ -109,7 +115,7 @@ TEST(FabricDegradation, AbortsBelowMinWorkersThenResumesBitIdentically) {
   FabricOptions opt = base_options("degrade");
   opt.workers = 2;
   opt.min_workers = 2;
-  opt.max_restarts_per_slot = 0;
+  opt.max_restarts = 0;
   opt.chaos_kill_after = 1;
   {
     FabricCoordinator coordinator(opt);
@@ -128,7 +134,7 @@ TEST(FabricDegradation, AbortsBelowMinWorkersThenResumesBitIdentically) {
   // after a dead (or SIGKILLed) coordinator does.  Shard boundaries are
   // pure functions of (total, shards), so the journals still line up,
   // and the spliced result is the pinned single-process fingerprint.
-  opt.max_restarts_per_slot = 3;
+  opt.max_restarts = 3;
   opt.chaos_kill_after = 0;
   FabricCoordinator coordinator(opt);
   const CampaignResult result = coordinator.run(plan);
@@ -137,6 +143,60 @@ TEST(FabricDegradation, AbortsBelowMinWorkersThenResumesBitIdentically) {
   // Some records came from the phase-1 journals, not fresh execution.
   EXPECT_GT(result.resumed_records, 0u);
   remove_shards(coordinator, total);
+}
+
+TEST(FabricWorker, ExitsAsSoonAsItsShardIsDoneDespiteALongHeartbeat) {
+  // The heartbeat thread waits on a condition variable, so the end of the
+  // run wakes it at once: the status pipe reaches EOF right after the
+  // kDone frame instead of one heartbeat period (here 30 s) later.
+  const CampaignPlan plan =
+      build_campaign_plan(pinned_spec(isa::Arch::kRiscf));
+  const std::string journal =
+      (std::filesystem::temp_directory_path() / "kfi_worker_heartbeat.kfij")
+          .string();
+  std::filesystem::remove(journal);
+  const std::string spec_hex = to_hex(serialize_campaign_spec(plan.spec));
+  int fds[2];
+  ASSERT_EQ(::pipe2(fds, O_CLOEXEC), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::fcntl(fds[1], F_SETFD, 0);
+    const std::string status_fd = std::to_string(fds[1]);
+    ::execl(KFI_WORKER_BIN, KFI_WORKER_BIN, "--spec", spec_hex.c_str(),
+            "--indices", "0-2", "--journal", journal.c_str(), "--status-fd",
+            status_fd.c_str(), "--heartbeat", "30",
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+
+  using Clock = std::chrono::steady_clock;
+  FrameReader reader;
+  std::optional<Clock::time_point> done_at;
+  Clock::time_point eof_at;
+  while (true) {
+    pollfd pfd{fds[0], POLLIN, 0};
+    ASSERT_GT(::poll(&pfd, 1, 60000), 0) << "worker went silent";
+    u8 buf[4096];
+    const ssize_t n = ::read(fds[0], buf, sizeof(buf));
+    if (n <= 0) {
+      eof_at = Clock::now();
+      break;
+    }
+    reader.feed(buf, static_cast<size_t>(n));
+    while (auto frame = reader.next()) {
+      if (frame->type == FrameType::kDone) done_at = Clock::now();
+    }
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  std::filesystem::remove(journal);
+
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  ASSERT_TRUE(done_at.has_value());
+  EXPECT_LT(std::chrono::duration<double>(eof_at - *done_at).count(), 5.0);
 }
 
 }  // namespace

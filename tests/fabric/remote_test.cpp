@@ -18,8 +18,9 @@
 //
 // The raw-socket tests drive the KFNM session protocol by hand to pin
 // the refusal semantics (skew refused with a typed code before any
-// injection) and the daemon-side resume path (second submit with
-// fresh=false reports every journaled index as resumed).
+// injection, an oversized submit refused from its header), and the
+// daemon-side resume path (second submit with fresh=false reports every
+// journaled index as resumed).
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -149,9 +150,11 @@ TEST_P(RemoteLoopbackTest, TwoDaemonsReproduceThePinnedFingerprint) {
       std::string("loopback_") + (arch == isa::Arch::kCisca ? "p4" : "g4"),
       {&d1, &d2});
   u32 progress_calls = 0;
+  std::vector<RemoteHostProgress> last;
   opt.progress = [&](const std::vector<RemoteHostProgress>& hosts) {
     ++progress_calls;
     EXPECT_EQ(hosts.size(), 2u);
+    last = hosts;
   };
   RemoteCoordinator coordinator(opt);
   remove_shards(coordinator, total);
@@ -171,7 +174,48 @@ TEST_P(RemoteLoopbackTest, TwoDaemonsReproduceThePinnedFingerprint) {
   EXPECT_EQ(result.fabric_hosts[0].host, d1.host().label());
   EXPECT_GE(result.fabric_hosts[0].dispatches, 1u);
   EXPECT_GT(progress_calls, 0u);
+  // The final snapshot keeps every finished shard on its host: done,
+  // complete, and carrying the shard's final outcome tally.
+  ASSERT_EQ(last.size(), 2u);
+  for (const RemoteHostProgress& h : last) {
+    EXPECT_TRUE(h.done) << h.host;
+    EXPECT_FALSE(h.connected) << h.host;
+    EXPECT_GT(h.total, 0u) << h.host;
+    EXPECT_EQ(h.completed, h.total) << h.host;
+    u32 tallied = 0;
+    for (const u32 n : h.outcomes) tallied += n;
+    EXPECT_EQ(tallied, h.total) << h.host;
+  }
+  EXPECT_EQ(last[0].shard, 0u);
+  EXPECT_EQ(last[1].shard, 1u);
   remove_shards(coordinator, total);
+}
+
+TEST(RemoteReuse, BackToBackRunsOnTheSameDaemonsSeeNoDeaths) {
+  // A finished session releases its (plan, shard) before the journal goes
+  // out and its heartbeat stops at once, so rerunning the same plan on the
+  // same daemons is accepted first time — no kBusy refusal, no death —
+  // even with a heartbeat period far longer than the campaign.
+  const CampaignPlan plan =
+      build_campaign_plan(pinned_spec(isa::Arch::kCisca));
+  const u32 total = static_cast<u32>(plan.targets.size());
+  Daemon d1("reuse1");
+  Daemon d2("reuse2");
+  ASSERT_GT(d1.port(), 0);
+  ASSERT_GT(d2.port(), 0);
+
+  RemoteOptions opt = base_options("reuse", {&d1, &d2});
+  opt.heartbeat_seconds = 30.0;
+  for (int run = 0; run < 2; ++run) {
+    RemoteCoordinator coordinator(opt);
+    remove_shards(coordinator, total);
+    const CampaignResult result = coordinator.run(plan);
+    EXPECT_EQ(inject::result_fingerprint(result), kPinnedCisca)
+        << "run " << run;
+    EXPECT_EQ(result.fabric_worker_deaths, 0u) << "run " << run;
+    EXPECT_EQ(result.fabric_redispatches, 0u) << "run " << run;
+    remove_shards(coordinator, total);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothArches, RemoteLoopbackTest,
@@ -198,7 +242,7 @@ TEST(RemoteChaos, Kill9MidShardRecoversBitIdentically) {
   ASSERT_GT(d2.port(), 0);
 
   RemoteOptions opt = base_options("chaos", {&d1, &d2});
-  opt.max_restarts_per_host = 3;
+  opt.max_restarts = 3;
   opt.min_workers = 1;  // degrade gracefully onto the survivor
   // kill -9 daemon 2 the moment its shard is genuinely mid-flight: some
   // records journaled, more to go.  The coordinator sees the TCP EOF,
@@ -245,6 +289,10 @@ class RawSession {
   bool submit(const SubmitRequest& req) {
     return send_message(fd_,
                         NetMessage{MsgType::kSubmit, encode_submit(req)});
+  }
+
+  bool send_raw(const std::vector<u8>& bytes) {
+    return send_all(fd_, bytes.data(), bytes.size());
   }
 
   /// Read messages until the predicate consumes a final one or the
@@ -408,6 +456,45 @@ TEST(RemoteResume, SecondSubmitResumesEveryJournaledIndex) {
     EXPECT_EQ(resumed, total);
     EXPECT_EQ(second_journal, first_journal);
   }
+}
+
+TEST(RemoteBounds, OversizedSubmitRefusedFromItsHeader) {
+  Daemon daemon("oversize");
+  ASSERT_GT(daemon.port(), 0);
+
+  // A KFNM header announcing a 200 MiB message, and a few bytes of it:
+  // the daemon must refuse from the header alone, not buffer toward it.
+  {
+    RawSession session(daemon);
+    const u32 claimed = 200u << 20;
+    ASSERT_TRUE(session.send_raw(
+        {'K', 'F', 'N', 'M', static_cast<u8>(claimed >> 24),
+         static_cast<u8>(claimed >> 16), static_cast<u8>(claimed >> 8),
+         static_cast<u8>(claimed), 1, 2, 3}));
+    std::optional<Refusal> refusal;
+    session.pump([&](const NetMessage& msg) {
+      EXPECT_EQ(msg.type, MsgType::kRefuse);
+      refusal = decode_refusal(msg.body);
+      return true;
+    });
+    ASSERT_TRUE(refusal.has_value());
+    EXPECT_EQ(refusal->code, RefuseCode::kBadRequest);
+  }
+  size_t journals = 0;
+  for (const auto& e : std::filesystem::directory_iterator(daemon.dir())) {
+    if (e.path().extension() == ".kfij") ++journals;
+  }
+  EXPECT_EQ(journals, 0u);
+
+  // The daemon still serves an ordinary campaign afterwards.
+  const CampaignPlan plan =
+      build_campaign_plan(pinned_spec(isa::Arch::kCisca));
+  RemoteCoordinator coordinator(base_options("oversize", {&daemon}));
+  remove_shards(coordinator, static_cast<u32>(plan.targets.size()));
+  const CampaignResult result = coordinator.run(plan);
+  EXPECT_EQ(inject::result_fingerprint(result), kPinnedCisca);
+  EXPECT_EQ(result.fabric_worker_deaths, 0u);
+  remove_shards(coordinator, static_cast<u32>(plan.targets.size()));
 }
 
 }  // namespace

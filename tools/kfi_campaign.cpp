@@ -90,7 +90,6 @@
 
 #include "analysis/cascade.hpp"
 #include "fabric/coordinator.hpp"
-#include "fabric/remote.hpp"
 #include "fabric/shard.hpp"
 #include "analysis/csv.hpp"
 #include "analysis/propagation.hpp"
@@ -183,8 +182,8 @@ void usage(const char* argv0) {
                "               per host:port endpoint; requires --journal;\n"
                "               --min-workers/--lease/--fabric-backoff/\n"
                "               --max-restarts apply to hosts)\n"
-               "  --heartbeat S: heartbeat period requested of daemons\n"
-               "               (default 1.0)\n"
+               "  --heartbeat S: heartbeat period requested of workers and\n"
+               "               daemons (default 1.0)\n"
                "  --connect-timeout S: TCP connect timeout per dispatch\n"
                "               (default 5.0)\n"
                "  --expect-plan-fp H: refuse (typed, before any injection)\n"
@@ -218,7 +217,6 @@ int main(int argc, char** argv) {
   std::string hosts_text;  // non-empty = multi-host campaign (kfi_campaignd)
   std::string expect_fp_hex;
   bool dry_run = false;
-  double heartbeat_seconds = 1.0, connect_timeout = 5.0;
   bool have_arch = false, have_kind = false, quiet = false;
   bool have_shape = false;
   bool have_errno = false;          // any --errno-* flag seen
@@ -396,7 +394,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--fabric-backoff-cap") {
       fabric_opt.backoff_cap = std::strtod(next(), nullptr);
     } else if (arg == "--max-restarts") {
-      fabric_opt.max_restarts_per_slot =
+      fabric_opt.max_restarts =
           static_cast<u32>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--chaos-kill-after") {
       fabric_opt.chaos_kill_after =
@@ -406,9 +404,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--hosts") {
       hosts_text = next();
     } else if (arg == "--heartbeat") {
-      heartbeat_seconds = std::strtod(next(), nullptr);
+      fabric_opt.heartbeat_seconds = std::strtod(next(), nullptr);
     } else if (arg == "--connect-timeout") {
-      connect_timeout = std::strtod(next(), nullptr);
+      fabric_opt.connect_timeout_seconds = std::strtod(next(), nullptr);
     } else if (arg == "--expect-plan-fp") {
       expect_fp_hex = next();
     } else if (arg == "--dry-run") {
@@ -464,17 +462,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--resume requires --journal PATH\n");
     return 2;
   }
-  if (fabric_workers > 0 && journal_path.empty()) {
-    std::fprintf(stderr,
-                 "--fabric requires --journal PATH (shard journals are "
-                 "the crash-recovery substrate)\n");
-    return 2;
-  }
-  if (fabric_workers > 0 && control.trace) {
-    std::fprintf(stderr, "--trace is not supported with --fabric yet\n");
-    return 2;
-  }
-  std::vector<fabric::HostSpec> hosts;
+  std::vector<fabric::HostSpec>& hosts = fabric_opt.hosts;
   if (!hosts_text.empty()) {
     const auto parsed = fabric::parse_host_list(hosts_text);
     if (!parsed) {
@@ -490,16 +478,21 @@ int main(int argc, char** argv) {
                    "worker processes vs remote daemons)\n");
       return 2;
     }
-    if (journal_path.empty() && !dry_run) {
-      std::fprintf(stderr,
-                   "--hosts requires --journal PATH (retrieved shard "
-                   "journals are the crash-recovery substrate)\n");
-      return 2;
-    }
-    if (control.trace) {
-      std::fprintf(stderr, "--trace is not supported with --hosts yet\n");
-      return 2;
-    }
+  }
+  const bool use_fabric = fabric_workers > 0 || !hosts.empty();
+  const char* fabric_flag = hosts.empty() ? "--fabric" : "--hosts";
+  // --hosts --dry-run may omit the journal; --fabric always needs one.
+  if (use_fabric && journal_path.empty() && !(dry_run && !hosts.empty())) {
+    std::fprintf(stderr,
+                 "%s requires --journal PATH (shard journals are the "
+                 "crash-recovery substrate)\n",
+                 fabric_flag);
+    return 2;
+  }
+  if (use_fabric && control.trace) {
+    std::fprintf(stderr, "--trace is not supported with %s yet\n",
+                 fabric_flag);
+    return 2;
   }
   try {
     spec.errno_model.validate();
@@ -568,126 +561,85 @@ int main(int argc, char** argv) {
 
   std::optional<inject::InjectionJournal> journal;
   inject::CampaignResult result;
-  if (!hosts.empty()) {
-    fabric::RemoteOptions remote_opt;
-    remote_opt.hosts = hosts;
-    remote_opt.min_workers = fabric_opt.min_workers;
-    remote_opt.journal_prefix = journal_path;
-    remote_opt.fresh = !resume;
-    remote_opt.jobs_per_host = jobs;
-    remote_opt.lease_seconds = fabric_opt.lease_seconds;
-    remote_opt.heartbeat_seconds = heartbeat_seconds;
-    remote_opt.connect_timeout_seconds = connect_timeout;
-    remote_opt.backoff_base = fabric_opt.backoff_base;
-    remote_opt.backoff_cap = fabric_opt.backoff_cap;
-    remote_opt.max_restarts_per_host = fabric_opt.max_restarts_per_slot;
-    remote_opt.flush = flush;
-    remote_opt.retries = control.retries;
-    remote_opt.stall_seconds = control.stall_seconds;
-    remote_opt.verbose = !quiet;
-    if (!quiet) {
-      // Live per-host tally: one line, redrawn on every progress frame.
-      static const char* kOutcomeTags[fabric::kFrameOutcomeSlots] = {
-          "NA", "NM", "FSV", "KC", "HU", "HE"};
-      remote_opt.progress =
-          [](const std::vector<fabric::RemoteHostProgress>& snap) {
-            std::string line = "\r";
-            for (const fabric::RemoteHostProgress& h : snap) {
-              if (h.total == 0 && !h.connected) continue;
-              if (line.size() > 1) line += "  ";
-              line += h.host + " s" + std::to_string(h.shard) + " " +
-                      std::to_string(h.completed) + "/" +
-                      std::to_string(h.total) + " [";
-              for (size_t i = 0; i < h.outcomes.size(); ++i) {
-                if (i > 0) line += " ";
-                line += std::string(kOutcomeTags[i]) + ":" +
-                        std::to_string(h.outcomes[i]);
-              }
-              line += "]";
-            }
-            line += "   ";
-            std::fputs(line.c_str(), stderr);
-          };
-    }
-    try {
-      fabric::RemoteCoordinator coordinator(remote_opt);
-      if (!resume) {
-        // A fresh run must not resurrect a previous campaign's retrieved
-        // shards; --resume keeps them (the whole point after a crash).
-        for (const std::string& p : coordinator.journal_paths(
-                 static_cast<u32>(plan.targets.size()))) {
-          std::filesystem::remove(p);
-        }
+  try {
+    if (use_fabric) {
+      fabric_opt.workers = fabric_workers;
+      fabric_opt.journal_prefix = journal_path;
+      fabric_opt.fresh = !resume;
+      fabric_opt.jobs = jobs;
+      fabric_opt.flush = flush;
+      fabric_opt.retries = control.retries;
+      fabric_opt.stall_seconds = control.stall_seconds;
+      fabric_opt.verbose = !quiet;
+      if (fabric_opt.worker_binary.empty()) {
+        // kfi_worker is installed next to kfi_campaign.
+        fabric_opt.worker_binary =
+            (std::filesystem::path(argv[0]).parent_path() / "kfi_worker")
+                .string();
       }
-      result = coordinator.run(plan);
-      if (!quiet) std::fputc('\n', stderr);
-    } catch (const fabric::FabricError& e) {
-      if (!quiet) std::fputc('\n', stderr);
-      std::fprintf(stderr, "fabric error: %s\n", e.what());
-      return 1;
-    } catch (const inject::JournalError& e) {
-      std::fprintf(stderr, "journal error: %s\n", e.what());
-      return 1;
-    }
-  } else if (fabric_workers > 0) {
-    fabric_opt.workers = fabric_workers;
-    fabric_opt.jobs_per_worker = jobs;
-    fabric_opt.journal_prefix = journal_path;
-    fabric_opt.flush = flush;
-    fabric_opt.retries = control.retries;
-    fabric_opt.stall_seconds = control.stall_seconds;
-    fabric_opt.verbose = !quiet;
-    if (fabric_opt.worker_binary.empty()) {
-      // kfi_worker is installed next to kfi_campaign.
-      fabric_opt.worker_binary =
-          (std::filesystem::path(argv[0]).parent_path() / "kfi_worker")
-              .string();
-    }
-    try {
+      if (!quiet) {
+        // Live per-endpoint tally: one line, redrawn on every progress frame.
+        static const char* kOutcomeTags[fabric::kFrameOutcomeSlots] = {
+            "NA", "NM", "FSV", "KC", "HU", "HE"};
+        fabric_opt.progress =
+            [](const std::vector<fabric::RemoteHostProgress>& snap) {
+              std::string line = "\r";
+              for (const fabric::RemoteHostProgress& h : snap) {
+                if (h.total == 0 && !h.connected) continue;
+                if (line.size() > 1) line += "  ";
+                line += h.host + " s" + std::to_string(h.shard) + " " +
+                        std::to_string(h.completed) + "/" +
+                        std::to_string(h.total) + " [";
+                for (size_t i = 0; i < h.outcomes.size(); ++i) {
+                  if (i > 0) line += " ";
+                  line += std::string(kOutcomeTags[i]) + ":" +
+                          std::to_string(h.outcomes[i]);
+                }
+                line += "]";
+              }
+              line += "   ";
+              std::fputs(line.c_str(), stderr);
+            };
+      }
       fabric::FabricCoordinator coordinator(fabric_opt);
       if (!resume) {
-        // A fresh fabric run must not resurrect a previous campaign's
-        // shards; --resume keeps them (the whole point after a crash).
+        // A fresh run must not resurrect a previous campaign's shard
+        // journals; --resume keeps them (the whole point after a crash).
         for (const std::string& p : coordinator.journal_paths(
                  static_cast<u32>(plan.targets.size()))) {
           std::filesystem::remove(p);
         }
       }
       result = coordinator.run(plan);
-    } catch (const fabric::FabricError& e) {
-      std::fprintf(stderr, "fabric error: %s\n", e.what());
-      return 1;
-    } catch (const inject::JournalError& e) {
-      std::fprintf(stderr, "journal error: %s\n", e.what());
-      return 1;
-    }
-  } else {
-    if (!journal_path.empty()) {
-      try {
-        journal = resume
-                      ? inject::InjectionJournal::resume(journal_path, plan,
-                                                         flush)
-                      : inject::InjectionJournal::create(journal_path, plan,
-                                                         flush);
-      } catch (const inject::JournalError& e) {
-        std::fprintf(stderr, "journal error: %s\n", e.what());
-        return 1;
+      if (!quiet) std::fputc('\n', stderr);
+    } else {
+      if (!journal_path.empty()) {
+        journal = resume ? inject::InjectionJournal::resume(journal_path,
+                                                            plan, flush)
+                         : inject::InjectionJournal::create(journal_path,
+                                                            plan, flush);
+        control.journal = &*journal;
+        // A durable campaign is interruptible: flush-and-resume on Ctrl-C.
+        std::signal(SIGINT, on_sigint);
+        control.cancel = &g_cancel;
       }
-      control.journal = &*journal;
-      // A durable campaign is interruptible: flush-and-resume on Ctrl-C.
-      std::signal(SIGINT, on_sigint);
-      control.cancel = &g_cancel;
+      result = inject::CampaignEngine(jobs).run(
+          plan,
+          quiet ? inject::ProgressFn{} : [](u32 done, u32 total) {
+            if (done % 100 == 0 || done == total) {
+              std::fprintf(stderr, "\r[%u/%u]", done, total);
+              if (done == total) std::fputc('\n', stderr);
+            }
+          },
+          control);
     }
-
-    result = inject::CampaignEngine(jobs).run(
-        plan,
-        quiet ? inject::ProgressFn{} : [](u32 done, u32 total) {
-          if (done % 100 == 0 || done == total) {
-            std::fprintf(stderr, "\r[%u/%u]", done, total);
-            if (done == total) std::fputc('\n', stderr);
-          }
-        },
-        control);
+  } catch (const fabric::FabricError& e) {
+    if (!quiet) std::fputc('\n', stderr);
+    std::fprintf(stderr, "fabric error: %s\n", e.what());
+    return 1;
+  } catch (const inject::JournalError& e) {
+    std::fprintf(stderr, "journal error: %s\n", e.what());
+    return 1;
   }
 
   if (result.interrupted) {

@@ -31,14 +31,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -46,11 +46,9 @@
 #include <vector>
 
 #include "fabric/net.hpp"
+#include "fabric/runner.hpp"
 #include "fabric/shard.hpp"
 #include "fabric/wire.hpp"
-#include "inject/campaign.hpp"
-#include "inject/engine.hpp"
-#include "inject/journal.hpp"
 
 using namespace kfi;
 
@@ -97,20 +95,18 @@ struct ActiveKey {
 };
 
 void refuse(int fd, fabric::RefuseCode code, const std::string& reason) {
-  fabric::Refusal r;
-  r.code = code;
-  r.reason = reason;
   fabric::send_message(
       fd, fabric::NetMessage{fabric::MsgType::kRefuse,
-                             fabric::encode_refusal(r)});
+                             fabric::encode_refusal({code, reason})});
   logf("refused: %s", reason.c_str());
 }
 
-/// Wait for the client's kSubmit on a fresh connection.  Bounded: a
-/// connection that stays silent or trickles garbage is dropped so a
-/// draining daemon never wedges on it.
+/// Wait for the client's kSubmit on a fresh connection.  Bounded in time
+/// and size: a connection that stays silent, trickles garbage, or
+/// announces a message over kMaxSubmitLen is dropped, so neither a
+/// draining daemon nor its memory is held hostage by it.
 std::optional<fabric::SubmitRequest> read_submit(int fd) {
-  fabric::MsgReader reader;
+  fabric::MsgReader reader(fabric::kMaxSubmitLen);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -140,256 +136,90 @@ std::optional<fabric::SubmitRequest> read_submit(int fd) {
       return req;
     }
     if (reader.corrupted()) {
-      refuse(fd, fabric::RefuseCode::kBadRequest, "corrupt message stream");
+      refuse(fd, fabric::RefuseCode::kBadRequest,
+             "corrupt or oversized submit (cap " +
+                 std::to_string(fabric::kMaxSubmitLen) + " bytes)");
       return std::nullopt;
     }
   }
   return std::nullopt;
 }
 
-/// Serialize all socket writes of one session (engine progress callback
-/// and heartbeat thread both send status frames).
-struct SessionSender {
-  int fd;
-  std::mutex mutex;
-  std::atomic<bool> dead{false};
+/// True once the client has closed its end of the session socket.
+bool peer_gone(int fd) {
+  char probe;
+  const ssize_t r = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
+  return r == 0 || (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                    errno != EINTR);
+}
 
-  bool send(fabric::MsgType type, std::vector<u8> body) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    if (dead.load()) return false;
-    if (!fabric::send_message(fd, fabric::NetMessage{type, std::move(body)})) {
-      dead.store(true);
-      return false;
-    }
-    return true;
-  }
-  bool send_frame(const fabric::StatusFrame& frame) {
-    return send(fabric::MsgType::kStatus, fabric::encode_frame(frame));
-  }
-};
-
+/// Serve one session on `fd`; the caller closes the socket afterwards.
 void serve_session(int fd, const std::string& dir) {
-  const auto req = read_submit(fd);
-  if (!req) {
-    ::close(fd);
-    return;
-  }
+  auto req = read_submit(fd);
+  if (!req) return;
+  req->jobs = std::max<u32>(req->jobs, 1);
+  req->retries = std::max<u32>(req->retries, 1);
+  // The heartbeat doubles as the client-health probe, so it always runs.
+  if (req->heartbeat_seconds <= 0.0) req->heartbeat_seconds = 1.0;
 
-  if (req->protocol != fabric::kNetProtocolVersion) {
-    refuse(fd, fabric::RefuseCode::kSkew,
-           "protocol version " + std::to_string(req->protocol) +
-               " != daemon's " +
-               std::to_string(fabric::kNetProtocolVersion));
-    ::close(fd);
-    return;
-  }
-  const auto spec = fabric::deserialize_campaign_spec(req->spec);
-  if (!spec) {
-    refuse(fd, fabric::RefuseCode::kBadRequest, "spec blob does not decode");
-    ::close(fd);
-    return;
-  }
-  const auto indices = fabric::parse_index_ranges(req->indices);
-  if (!indices || indices->empty()) {
-    refuse(fd, fabric::RefuseCode::kBadRequest,
-           "bad index ranges '" + req->indices + "'");
-    ::close(fd);
-    return;
-  }
-
+  std::vector<u8> journal_bytes;
   try {
-    // Plan building is deterministic, so the fingerprint handshake
-    // catches any skew between client and daemon binaries before the
-    // first injection.
-    const inject::CampaignPlan plan = inject::build_campaign_plan(*spec);
-    const u64 plan_fp = inject::plan_fingerprint(plan);
-    if (plan_fp != req->expect_plan_fp) {
-      char want[17], got[17];
-      std::snprintf(want, sizeof(want), "%016llx",
-                    static_cast<unsigned long long>(req->expect_plan_fp));
-      std::snprintf(got, sizeof(got), "%016llx",
-                    static_cast<unsigned long long>(plan_fp));
-      refuse(fd, fabric::RefuseCode::kSkew,
-             std::string("plan fingerprint skew: client expects ") + want +
-                 ", daemon rebuilt " + got +
-                 " (client and daemon binaries disagree)");
-      ::close(fd);
+    fabric::Shard shard;
+    if (const auto refusal = fabric::load_shard(*req, true, &shard)) {
+      refuse(fd, refusal->code, refusal->reason);
       return;
     }
-    for (const u32 i : *indices) {
-      if (i >= plan.targets.size()) {
-        refuse(fd, fabric::RefuseCode::kBadRequest,
-               "index " + std::to_string(i) + " out of range (plan has " +
-                   std::to_string(plan.targets.size()) + " targets)");
-        ::close(fd);
-        return;
-      }
-    }
-
     ActiveKey active;
-    if (!active.acquire(plan_fp, req->shard)) {
+    if (!active.acquire(shard.plan_fp, req->shard)) {
       refuse(fd, fabric::RefuseCode::kBusy,
              "shard " + std::to_string(req->shard) +
                  " of this plan already has a live session");
-      ::close(fd);
       return;
     }
 
-    char fp_hex[17];
-    std::snprintf(fp_hex, sizeof(fp_hex), "%016llx",
-                  static_cast<unsigned long long>(plan_fp));
+    const std::string fp_hex = fabric::fingerprint_hex(shard.plan_fp);
     const std::string journal_path = fabric::shard_journal_path(
         dir + "/" + fp_hex, req->shard, req->shards);
-    if (req->fresh) {
-      std::remove(journal_path.c_str());
-    }
-    const inject::FlushPolicy flush =
-        req->flush == static_cast<u8>(inject::FlushPolicy::kFlush)
-            ? inject::FlushPolicy::kFlush
-            : inject::FlushPolicy::kFsync;
-    inject::InjectionJournal journal = [&]() {
-      try {
-        return inject::InjectionJournal::resume(journal_path, plan, flush);
-      } catch (const inject::JournalError&) {
-        return inject::InjectionJournal::create(journal_path, plan, flush);
-      }
-    }();
+    inject::InjectionJournal journal =
+        fabric::open_shard_journal(*req, shard, journal_path);
 
     fabric::AcceptInfo info;
-    info.plan_fingerprint = plan_fp;
+    info.plan_fingerprint = shard.plan_fp;
     info.resumed = static_cast<u32>(journal.recovered().size());
     info.pid = static_cast<u32>(::getpid());
-    SessionSender sender{fd};
-    if (!sender.send(fabric::MsgType::kAccept, fabric::encode_accept(info))) {
-      ::close(fd);
+    if (!fabric::send_message(fd, fabric::NetMessage{
+                                      fabric::MsgType::kAccept,
+                                      fabric::encode_accept(info)})) {
       return;
     }
-    logf("accepted plan %s shard %u/%u (%zu indices, %u resumed%s)", fp_hex,
-         req->shard, req->shards, indices->size(), info.resumed,
+    logf("accepted plan %s shard %u/%u (%zu indices, %u resumed%s)",
+         fp_hex.c_str(),
+         req->shard, req->shards, shard.indices.size(), info.resumed,
          req->fresh ? ", fresh" : "");
 
-    fabric::StatusFrame base;
-    base.plan_fingerprint = plan_fp;
-    base.shard = req->shard;
-    base.pid = info.pid;
-    base.total = static_cast<u32>(indices->size());
-
-    // Live outcome tally, seeded from the resumed journal.
-    std::array<std::atomic<u32>, fabric::kFrameOutcomeSlots> outcomes{};
-    auto count_outcome = [&outcomes](inject::OutcomeCategory outcome) {
-      const auto slot = static_cast<size_t>(outcome);
-      if (slot < outcomes.size()) {
-        outcomes[slot].fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-    for (const inject::JournalEntry& e : journal.recovered()) {
-      count_outcome(e.record.outcome);
-    }
-    auto fill_outcomes = [&outcomes](fabric::StatusFrame& f) {
-      for (size_t i = 0; i < f.outcomes.size(); ++i) {
-        f.outcomes[i] = outcomes[i].load(std::memory_order_relaxed);
-      }
-    };
-
-    fabric::StatusFrame hello = base;
-    hello.type = fabric::FrameType::kHello;
-    sender.send_frame(hello);
-
-    // The heartbeat thread renews the client's lease through long
-    // injections AND doubles as the socket-health probe: a client that
-    // closed its end (lease revoked, Ctrl-C, crash) turns the probe or
-    // the next send into a failure, which cancels the engine at the
-    // next injection boundary — the journal stays flushed for the
+    // A client that closed its end (lease revoked, Ctrl-C, crash) fails
+    // the heartbeat's probe or the next send, which cancels the engine at
+    // the next injection boundary — the journal stays flushed for the
     // re-dispatch.
-    std::atomic<bool> cancel{false};
-    std::atomic<u32> done_count{static_cast<u32>(info.resumed)};
-    std::atomic<bool> stop_heartbeat{false};
-    const double heartbeat =
-        req->heartbeat_seconds > 0.0 ? req->heartbeat_seconds : 1.0;
-    std::thread heartbeat_thread([&]() {
-      while (!stop_heartbeat.load()) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(heartbeat));
-        if (stop_heartbeat.load()) break;
-        char probe;
-        const ssize_t r =
-            ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-        if (r == 0 || (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                       errno != EINTR)) {
-          cancel.store(true);
-          sender.dead.store(true);
-          return;
-        }
-        fabric::StatusFrame f = base;
-        f.type = fabric::FrameType::kHeartbeat;
-        f.done = done_count.load();
-        fill_outcomes(f);
-        if (!sender.send_frame(f)) {
-          cancel.store(true);
-          return;
-        }
+    const auto sink = [fd](const fabric::StatusFrame& frame) {
+      if (frame.type == fabric::FrameType::kHeartbeat && peer_gone(fd)) {
+        return false;
       }
-    });
-    struct HeartbeatGuard {
-      std::atomic<bool>& stop;
-      std::thread& thread;
-      ~HeartbeatGuard() {
-        stop.store(true);
-        if (thread.joinable()) thread.join();
-      }
-    } guard{stop_heartbeat, heartbeat_thread};
-
-    inject::RunControl control;
-    control.journal = &journal;
-    control.indices = &*indices;
-    control.retries = req->retries > 0 ? req->retries : 1;
-    control.stall_seconds = req->stall_seconds;
-    control.cancel = &cancel;
-    control.record_observer =
-        [&](u32, const inject::InjectionRecord& record) {
-          count_outcome(record.outcome);
-        };
-    const inject::CampaignResult result =
-        inject::CampaignEngine(req->jobs > 0 ? req->jobs : 1)
-            .run(
-                plan,
-                [&](u32 done, u32 total) {
-                  done_count.store(done);
-                  fabric::StatusFrame f = base;
-                  f.type = fabric::FrameType::kProgress;
-                  f.done = done;
-                  f.total = total;
-                  fill_outcomes(f);
-                  sender.send_frame(f);
-                },
-                control);
-
-    if (result.interrupted || cancel.load()) {
+      return fabric::send_message(
+          fd, fabric::NetMessage{fabric::MsgType::kStatus,
+                                 fabric::encode_frame(frame)});
+    };
+    if (!fabric::run_shard(*req, shard, journal, sink)) {
       logf("session for shard %u cancelled (client gone); journal kept",
            req->shard);
-      ::close(fd);
       return;
     }
-
-    fabric::StatusFrame done = base;
-    done.type = fabric::FrameType::kDone;
-    done.done = static_cast<u32>(indices->size());
-    fill_outcomes(done);
-    done.executed = result.journal_flushes;
-    done.quarantined = result.quarantined;
-    done.stalls = result.stalls;
-    done.harness_retries = result.harness_retries;
-    done.backoff_waits = result.retry_backoff_waits;
-    done.backoff_seconds = result.retry_backoff_seconds;
-    sender.send_frame(done);
-
-    // Stream the completed shard journal back byte-for-byte; the client
-    // splices it with the other shards.
+    // Read the finished journal while this session still owns the shard;
+    // the busy key is released before the bytes go out, so a client that
+    // resubmits as soon as it has them is never refused.
     std::ifstream in(journal_path, std::ios::binary);
-    std::vector<u8> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-    sender.send(fabric::MsgType::kJournal, std::move(bytes));
-    logf("shard %u complete, journal streamed (%s)", req->shard,
-         journal_path.c_str());
+    journal_bytes.assign(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
   } catch (const std::exception& e) {
     fabric::StatusFrame f;
     f.type = fabric::FrameType::kError;
@@ -397,8 +227,14 @@ void serve_session(int fd, const std::string& dir) {
     fabric::send_message(fd, fabric::NetMessage{fabric::MsgType::kStatus,
                                                 fabric::encode_frame(f)});
     logf("session error: %s", e.what());
+    return;
   }
-  ::close(fd);
+  // Stream the completed shard journal back byte-for-byte; the client
+  // splices it with the other shards.
+  fabric::send_message(
+      fd, fabric::NetMessage{fabric::MsgType::kJournal,
+                             std::move(journal_bytes)});
+  logf("shard %u complete, journal streamed", req->shard);
 }
 
 void usage(const char* argv0) {
@@ -515,6 +351,7 @@ int main(int argc, char** argv) {
     auto done = std::make_shared<std::atomic<bool>>(false);
     sessions.push_back(Session{std::thread([fd, dir, done]() {
                                  serve_session(fd, dir);
+                                 ::close(fd);
                                  done->store(true);
                                }),
                                done});

@@ -24,58 +24,19 @@
 //
 // Also usable standalone (no --status-fd) to run one shard of a campaign
 // by hand; kfi_journal_splice merges the shard journals afterwards.
-#include <signal.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <optional>
+#include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "fabric/net.hpp"
-#include "fabric/shard.hpp"
+#include "fabric/runner.hpp"
 #include "fabric/wire.hpp"
-#include "inject/engine.hpp"
-#include "inject/journal.hpp"
 
 using namespace kfi;
 
 namespace {
-
-int g_status_fd = -1;
-
-/// Live outcome tally over this worker's slice (resumed + executed),
-/// carried on every progress/heartbeat/done frame.  Atomics because the
-/// heartbeat thread reads while the engine's record observer writes.
-std::array<std::atomic<u32>, fabric::kFrameOutcomeSlots> g_outcomes{};
-
-void fill_outcomes(fabric::StatusFrame& frame) {
-  for (size_t i = 0; i < frame.outcomes.size(); ++i) {
-    frame.outcomes[i] = g_outcomes[i].load(std::memory_order_relaxed);
-  }
-}
-
-void count_outcome(inject::OutcomeCategory outcome) {
-  const auto slot = static_cast<size_t>(outcome);
-  if (slot < g_outcomes.size()) {
-    g_outcomes[slot].fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void send_frame(fabric::StatusFrame frame) {
-  if (g_status_fd < 0) return;
-  const std::vector<u8> bytes = fabric::encode_frame(frame);
-  // One write per frame: frames are far below PIPE_BUF, so they land
-  // atomically even with the heartbeat thread writing concurrently.
-  // write_all retries EINTR and short writes; any other failure means
-  // the coordinator is gone (and SIGPIPE was somehow not fatal).
-  if (!fabric::write_all(g_status_fd, bytes.data(), bytes.size())) {
-    std::exit(1);
-  }
-}
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -91,11 +52,10 @@ void usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string spec_hex, indices_text, journal_path, expect_fp_hex;
-  u32 shard = 0, shards = 1, jobs = 1, retries = 1;
+  fabric::SubmitRequest req;
+  std::string spec_hex, journal_path, expect_fp_hex;
+  int status_fd = -1;
   u32 chaos_kill_after = 0;
-  double heartbeat = 1.0, stall = 0.0;
-  inject::FlushPolicy flush = inject::FlushPolicy::kFsync;
   bool have_indices = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -108,16 +68,16 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--spec") spec_hex = next();
-    else if (arg == "--indices") { indices_text = next(); have_indices = true; }
+    else if (arg == "--indices") { req.indices = next(); have_indices = true; }
     else if (arg == "--journal") journal_path = next();
     else if (arg == "--expect-plan-fp") expect_fp_hex = next();
-    else if (arg == "--shard") shard = static_cast<u32>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--shards") shards = static_cast<u32>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--status-fd") g_status_fd = static_cast<int>(std::strtol(next(), nullptr, 10));
-    else if (arg == "--jobs") jobs = static_cast<u32>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--heartbeat") heartbeat = std::strtod(next(), nullptr);
-    else if (arg == "--retries") retries = static_cast<u32>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--stall") stall = std::strtod(next(), nullptr);
+    else if (arg == "--shard") req.shard = static_cast<u32>(std::strtoul(next(), nullptr, 10));
+    else if (arg == "--shards") req.shards = static_cast<u32>(std::strtoul(next(), nullptr, 10));
+    else if (arg == "--status-fd") status_fd = static_cast<int>(std::strtol(next(), nullptr, 10));
+    else if (arg == "--jobs") req.jobs = static_cast<u32>(std::strtoul(next(), nullptr, 10));
+    else if (arg == "--heartbeat") req.heartbeat_seconds = std::strtod(next(), nullptr);
+    else if (arg == "--retries") req.retries = static_cast<u32>(std::strtoul(next(), nullptr, 10));
+    else if (arg == "--stall") req.stall_seconds = std::strtod(next(), nullptr);
     else if (arg == "--chaos-kill-after") chaos_kill_after = static_cast<u32>(std::strtoul(next(), nullptr, 10));
     else if (arg == "--journal-flush") {
       const auto policy = inject::parse_flush_policy(next());
@@ -125,7 +85,7 @@ int main(int argc, char** argv) {
         usage(argv[0]);
         return 2;
       }
-      flush = *policy;
+      req.flush = static_cast<u8>(*policy);
     } else {
       usage(argv[0]);
       return 2;
@@ -135,149 +95,43 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-
   const auto spec_bytes = fabric::from_hex(spec_hex);
   if (!spec_bytes) {
     std::fprintf(stderr, "kfi_worker: --spec is not valid hex\n");
     return 2;
   }
-  const auto spec = fabric::deserialize_campaign_spec(*spec_bytes);
-  if (!spec) {
-    std::fprintf(stderr, "kfi_worker: --spec blob does not decode\n");
-    return 2;
-  }
-  const auto indices = fabric::parse_index_ranges(indices_text);
-  if (!indices || indices->empty()) {
-    std::fprintf(stderr, "kfi_worker: bad --indices '%s'\n",
-                 indices_text.c_str());
-    return 2;
-  }
+  req.spec = *spec_bytes;
+  req.expect_plan_fp = std::strtoull(expect_fp_hex.c_str(), nullptr, 16);
+  if (status_fd < 0) req.heartbeat_seconds = 0.0;
 
-  fabric::StatusFrame base;
-  base.shard = shard;
-  base.pid = static_cast<u32>(::getpid());
-  base.total = static_cast<u32>(indices->size());
-
+  // One write per frame: frames are far below PIPE_BUF, so they land
+  // atomically.  A failed write means the coordinator is gone (and
+  // SIGPIPE was somehow not fatal): the run is cancelled.
+  auto sink = [status_fd](const fabric::StatusFrame& frame) {
+    if (status_fd < 0) return true;
+    const std::vector<u8> bytes = fabric::encode_frame(frame);
+    return fabric::write_all(status_fd, bytes.data(), bytes.size());
+  };
   try {
-    const inject::CampaignPlan plan = inject::build_campaign_plan(*spec);
-    const u64 plan_fp = inject::plan_fingerprint(plan);
-    if (!expect_fp_hex.empty() &&
-        plan_fp != std::strtoull(expect_fp_hex.c_str(), nullptr, 16)) {
-      std::fprintf(stderr,
-                   "kfi_worker: rebuilt plan fingerprint %016llx != "
-                   "expected %s\n",
-                   static_cast<unsigned long long>(plan_fp),
-                   expect_fp_hex.c_str());
-      return 3;
+    fabric::Shard shard;
+    if (const auto refusal =
+            fabric::load_shard(req, !expect_fp_hex.empty(), &shard)) {
+      std::fprintf(stderr, "kfi_worker: %s\n", refusal->reason.c_str());
+      return refusal->code == fabric::RefuseCode::kSkew ? 3 : 2;
     }
-    base.plan_fingerprint = plan_fp;
-    if (static_cast<u32>(shards) != 0) {
-      (void)shards;  // carried in the journal path; nothing to validate
-    }
-    for (const u32 i : *indices) {
-      if (i >= plan.targets.size()) {
-        std::fprintf(stderr, "kfi_worker: index %u out of range (plan has "
-                             "%zu targets)\n",
-                     i, plan.targets.size());
-        return 2;
-      }
-    }
-
-    // Resume the shard journal if it exists (restart after a death),
-    // create it otherwise.
-    inject::InjectionJournal journal = [&]() {
-      try {
-        return inject::InjectionJournal::resume(journal_path, plan, flush);
-      } catch (const inject::JournalError&) {
-        return inject::InjectionJournal::create(journal_path, plan, flush);
-      }
-    }();
-
-    // Seed the live tally with whatever the resumed journal recovered:
-    // the coordinator's view starts where the last run's durable records
-    // left off.
-    for (const inject::JournalEntry& e : journal.recovered()) {
-      count_outcome(e.record.outcome);
-    }
-
-    base.type = fabric::FrameType::kHello;
-    send_frame(base);
-
-    // Heartbeat thread: keeps the coordinator's lease alive through long
-    // injections (progress frames only flow at completion boundaries).
-    std::atomic<u32> done_count{0};
-    std::atomic<bool> stop_heartbeat{false};
-    std::thread heartbeat_thread;
-    if (g_status_fd >= 0 && heartbeat > 0.0) {
-      heartbeat_thread = std::thread([&]() {
-        while (!stop_heartbeat.load()) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(heartbeat));
-          if (stop_heartbeat.load()) break;
-          fabric::StatusFrame f = base;
-          f.type = fabric::FrameType::kHeartbeat;
-          f.done = done_count.load();
-          fill_outcomes(f);
-          send_frame(f);
-        }
-      });
-    }
-    struct HeartbeatGuard {
-      std::atomic<bool>& stop;
-      std::thread& thread;
-      ~HeartbeatGuard() {
-        stop.store(true);
-        if (thread.joinable()) thread.join();
-      }
-    } guard{stop_heartbeat, heartbeat_thread};
-
-    inject::RunControl control;
-    control.journal = &journal;
-    control.indices = &*indices;
-    control.retries = retries;
-    control.stall_seconds = stall;
-    control.record_observer = [](u32, const inject::InjectionRecord& record) {
-      count_outcome(record.outcome);
-    };
-    std::atomic<u32> completions{0};
-    const inject::CampaignResult result = inject::CampaignEngine(jobs).run(
-        plan,
-        [&](u32 done, u32 total) {
-          done_count.store(done);
-          // Chaos: die loudly after N completions in THIS process, with
-          // everything so far already fsync'd to the shard journal.
-          if (chaos_kill_after > 0 &&
-              completions.fetch_add(1) + 1 >= chaos_kill_after &&
-              done < total) {
-            ::raise(SIGKILL);
-          }
-          fabric::StatusFrame f = base;
-          f.type = fabric::FrameType::kProgress;
-          f.done = done;
-          f.total = total;
-          fill_outcomes(f);
-          send_frame(f);
-        },
-        control);
-
-    fabric::StatusFrame f = base;
-    f.type = fabric::FrameType::kDone;
-    f.done = static_cast<u32>(indices->size());
-    fill_outcomes(f);
-    f.executed = result.journal_flushes;
-    f.quarantined = result.quarantined;
-    f.stalls = result.stalls;
-    f.harness_retries = result.harness_retries;
-    f.backoff_waits = result.retry_backoff_waits;
-    f.backoff_seconds = result.retry_backoff_seconds;
-    send_frame(f);
-    return 0;
+    inject::InjectionJournal journal =
+        fabric::open_shard_journal(req, shard, journal_path);
+    return fabric::run_shard(req, shard, journal, sink, chaos_kill_after)
+               ? 0
+               : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "kfi_worker: %s\n", e.what());
-    fabric::StatusFrame f = base;
+    fabric::StatusFrame f;
     f.type = fabric::FrameType::kError;
+    f.shard = req.shard;
+    f.pid = static_cast<u32>(::getpid());
     f.message = e.what();
-    send_frame(f);
+    sink(f);
     return 1;
   }
 }

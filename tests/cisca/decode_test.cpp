@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,10 @@ struct RoundTrip {
   Op expected_op;
   u8 expected_len;
 };
+
+// Print a case by its name so the test name gtest lists (and ctest
+// registers) is the same on every run, not a dump of heap addresses.
+void PrintTo(const RoundTrip& c, std::ostream* os) { *os << c.name; }
 
 class CiscaRoundTripTest : public ::testing::TestWithParam<RoundTrip> {};
 

@@ -3,6 +3,8 @@
 // the sparse-opcode-map property behind the G4's Illegal Instruction rate.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.hpp"
 #include "riscf/encode.hpp"
 #include "riscf/insn.hpp"
@@ -89,6 +91,10 @@ struct WordCase {
   std::function<void(Asm&)> emit;
   Op expected;
 };
+
+// Print a case by its name so the test name gtest lists (and ctest
+// registers) is the same on every run, not a dump of heap addresses.
+void PrintTo(const WordCase& c, std::ostream* os) { *os << c.name; }
 
 class RiscfRoundTripTest : public ::testing::TestWithParam<WordCase> {};
 

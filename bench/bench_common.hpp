@@ -76,6 +76,14 @@ inline inject::CampaignResult run_with_progress(
       inject::CampaignEngine(jobs).run(plan);
   std::fprintf(stderr, "[campaign] %s\n",
                analysis::summarize_campaign(result).c_str());
+  std::fprintf(stderr,
+               "[campaign] result fingerprint: %016llx  spin-loop "
+               "fast-forwards: %llu (%llu cycles)\n",
+               static_cast<unsigned long long>(
+                   inject::result_fingerprint(result)),
+               static_cast<unsigned long long>(result.throughput.spin_skips),
+               static_cast<unsigned long long>(
+                   result.throughput.spin_skipped_cycles));
   return result;
 }
 

@@ -3,7 +3,8 @@
 // cycles/sec, speedup vs serial, and resident memory per worker (private
 // pages held at campaign end; with copy-on-write boot-snapshot sharing
 // this is the dirty working set, not a full image copy, so it stays
-// roughly flat as jobs grow — sublinear total memory).  Verifies that
+// roughly flat as jobs grow — sublinear total memory), and the spin-loop
+// fast-forwards the workers took (Machine::run).  Verifies that
 // every worker count produced the bit-identical merged result (the
 // engine's determinism contract).  On a multicore host the stack campaign
 // reaches >= 2x at --jobs 4; on a single hardware thread the rows
@@ -144,12 +145,14 @@ int main() {
       std::printf(
           "jobs=%u  run=%6.2fs  %7.1f inj/s  %8.1f Msim-cyc/s  "
           "speedup=%.2fx  priv-pages/worker=%5.1f (max %u of %u)  "
-          "result=%s\n",
+          "spin-skips=%llu (%.1f Msim-cyc)  result=%s\n",
           jobs, result.throughput.run_seconds,
           result.throughput.injections_per_second(result.records.size()),
           result.throughput.simulated_cycles_per_second() / 1e6,
           serial_seconds / result.throughput.run_seconds, priv_per_worker,
           result.throughput.max_worker_private_pages, total_pages,
+          static_cast<unsigned long long>(result.throughput.spin_skips),
+          static_cast<double>(result.throughput.spin_skipped_cycles) / 1e6,
           identical ? "bit-identical" : "DIVERGED");
       if (!identical) {
         std::fprintf(stderr, "FATAL: jobs=%u diverged from serial (fp %" PRIx64

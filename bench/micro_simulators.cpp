@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate itself:
 // interpreter throughput on both ISAs, syscall round-trip cost, machine
 // snapshot/restore ("reboot") cost, and the cost of a full injection
-// experiment — the numbers that determine how large a campaign is
-// practical.
+// experiment (with the spin-loop fast-forwards it took) — the numbers
+// that determine how large a campaign is practical.
 #include <benchmark/benchmark.h>
 
 #include "inject/experiment.hpp"
@@ -99,6 +99,12 @@ void BM_FullInjectionExperiment(benchmark::State& state) {
     benchmark::DoNotOptimize(record.outcome);
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+  // Code flips that leave the kernel spinning end in spin-loop
+  // fast-forwards: how many, and the simulated cycles they skipped.
+  state.counters["spin_skips"] =
+      static_cast<double>(machine.spin_stats().skips);
+  state.counters["spin_skipped_cycles"] =
+      static_cast<double>(machine.spin_stats().skipped_cycles);
 }
 BENCHMARK(BM_FullInjectionExperiment)
     ->Arg(0)

@@ -1345,20 +1345,32 @@ isa::StepResult CiscaCpu::step_block(const isa::BlockLimits& limits,
   return result;
 }
 
+std::array<u32, CiscaCpu::kSnapshotWords> CiscaCpu::snapshot_words() const {
+  const RegFile& r = regs_;
+  return {r.gpr[0], r.gpr[1], r.gpr[2], r.gpr[3], r.gpr[4], r.gpr[5],
+          r.gpr[6], r.gpr[7], r.eip,    r.eflags, r.cr0,    r.cr2,
+          r.cr3,    r.cr4,    r.dr[0],  r.dr[1],  r.dr[2],  r.dr[3],
+          r.dr6,    r.dr7,    r.fs,     r.gs,     r.gdtr_base,
+          r.gdtr_limit, r.idtr_base, r.idtr_limit, r.ldtr, r.tr};
+}
+
 isa::CpuSnapshot CiscaCpu::snapshot() const {
   isa::CpuSnapshot snap;
   snap.cycles = cycles_;
-  const RegFile& r = regs_;
-  snap.words = {r.gpr[0], r.gpr[1], r.gpr[2], r.gpr[3], r.gpr[4], r.gpr[5],
-                r.gpr[6], r.gpr[7], r.eip,    r.eflags, r.cr0,    r.cr2,
-                r.cr3,    r.cr4,    r.dr[0],  r.dr[1],  r.dr[2],  r.dr[3],
-                r.dr6,    r.dr7,    r.fs,     r.gs,     r.gdtr_base,
-                r.gdtr_limit, r.idtr_base, r.idtr_limit, r.ldtr, r.tr};
+  const auto words = snapshot_words();
+  snap.words.assign(words.begin(), words.end());
   return snap;
 }
 
+bool CiscaCpu::registers_equal(const isa::CpuSnapshot& snap) const {
+  const auto words = snapshot_words();
+  return std::equal(words.begin(), words.end(), snap.words.begin(),
+                    snap.words.end());
+}
+
 void CiscaCpu::restore(const isa::CpuSnapshot& snap) {
-  KFI_CHECK(snap.words.size() == 28, "cisca snapshot size mismatch");
+  KFI_CHECK(snap.words.size() == kSnapshotWords,
+            "cisca snapshot size mismatch");
   RegFile& r = regs_;
   size_t i = 0;
   for (int g = 0; g < 8; ++g) r.gpr[g] = snap.words[i++];

@@ -14,6 +14,7 @@
 //     measure cycles-to-crash.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -65,6 +66,7 @@ class CiscaCpu final : public isa::CpuCore {
   Addr stack_pointer() const override { return regs_.gpr[kEsp]; }
   isa::CpuSnapshot snapshot() const override;
   void restore(const isa::CpuSnapshot& snap) override;
+  bool registers_equal(const isa::CpuSnapshot& snap) const override;
   void set_decode_cache_enabled(bool enabled) override;
   bool decode_cache_enabled() const override { return dcache_enabled_; }
   isa::DecodeCacheStats decode_cache_stats() const override {
@@ -149,6 +151,10 @@ class CiscaCpu final : public isa::CpuCore {
   /// Fetch + decode at `pc`, through the cache when enabled.  The returned
   /// reference is valid until the next call.
   const DecodeCacheEntry& decode_cached(Addr pc);
+
+  /// The register file as the snapshot's word list, in snapshot order.
+  static constexpr u32 kSnapshotWords = 28;
+  std::array<u32, kSnapshotWords> snapshot_words() const;
 
   [[noreturn]] void raise(Cause cause, Addr addr = 0, bool has_addr = false,
                           u32 aux = 0);

@@ -1,13 +1,17 @@
-// Shared big-endian byte codec for the fabric's wire formats.
+// The one big-endian byte codec every kfisim byte format shares.
 //
-// Every fabric byte format — the CampaignSpec blob, the KFFR status
-// frames, and the KFNM network messages — serializes big-endian with the
-// same primitive vocabulary and parses through the same bounds-checked
-// cursor (never throws, never overreads, latches `ok = false` on the
-// first short read).  Keeping the primitives in one header means a new
-// message type cannot invent a subtly different integer layout.
+// The injection journal (KFIJ header, KFIE frames), the CampaignSpec
+// blob, the KFFR status frames and the KFNM network messages all
+// serialize big-endian with the same primitive vocabulary, parse through
+// the same bounds-checked cursor (never throws, never overreads, latches
+// `ok = false` on the first short read) and checksum with the same
+// FNV-1a.  Keeping the primitives in one header means a new format cannot
+// invent a subtly different integer layout.
 #pragma once
 
+#include <sys/types.h>
+
+#include <cerrno>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -15,7 +19,7 @@
 
 #include "common/types.hpp"
 
-namespace kfi::fabric::codec {
+namespace kfi::codec {
 
 inline u64 fnv1a(const u8* data, size_t size) {
   u64 h = 0xcbf29ce484222325ull;
@@ -56,7 +60,9 @@ inline void put_blob(std::vector<u8>& out, const std::vector<u8>& b) {
   out.insert(out.end(), b.begin(), b.end());
 }
 
-/// Bounds-checked big-endian reader (same shape as the journal's).
+/// Bounds-checked big-endian reader: every get_* returns a default and
+/// latches `ok = false` once the input runs out, so malformed input can
+/// never read past the buffer.
 struct Cursor {
   const u8* in;
   size_t size;
@@ -181,4 +187,25 @@ inline std::vector<u8> frame_payload(u32 magic, const std::vector<u8>& payload) 
   return out;
 }
 
-}  // namespace kfi::fabric::codec
+/// Move `size` bytes through `io(offset, count)` (a read/write/send),
+/// retrying short transfers and EINTR.  Any other error, or EOF, fails.
+template <typename Io>
+bool transfer_all(size_t size, Io io) {
+  for (size_t at = 0; at < size;) {
+    const ssize_t n = io(at, size - at);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    at += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+/// write(2) the whole buffer, retrying short writes and EINTR.  Returns
+/// false on any other error (e.g. EPIPE/ECONNRESET: the peer is gone).
+bool write_all(int fd, const void* data, size_t size);
+
+/// read(2) exactly `size` bytes, retrying short reads and EINTR.
+/// Returns false on EOF or any other error before `size` bytes arrived.
+bool read_exact(int fd, void* data, size_t size);
+
+}  // namespace kfi::codec

@@ -43,6 +43,10 @@ struct Unit {
   /// TCP: a daemon accepted this shard at least once, so later
   /// submissions send fresh=false and resume the daemon's journal.
   bool ever_accepted = false;
+  /// Records this shard already held when the run began: the shard
+  /// journal's before the first dispatch, plus what a daemon reports
+  /// resuming in its first accept.
+  u64 resumed = 0;
   Clock::time_point eligible_at = Clock::time_point::min();
   std::optional<StatusFrame> done_frame;
 };
@@ -274,6 +278,9 @@ class TcpTransport final : public Transport {
                 "daemon accepted with a different plan fingerprint: "
                 "client and daemon binaries disagree");
           }
+          // Only the first accept predates this run; a re-dispatch
+          // resumes records this run's own sessions wrote.
+          if (!unit.ever_accepted) unit.resumed += info->resumed;
           unit.ever_accepted = true;
           if (opt_.verbose && info->resumed > 0) {
             std::fprintf(stderr,
@@ -579,6 +586,9 @@ inject::CampaignResult FabricCoordinator::run(const inject::CampaignPlan& plan,
         if (idle == nullptr) break;
         const std::vector<u32> remaining =
             remaining_indices(unit.journal, unit.slice, plan_fp);
+        if (unit.dispatches == 0) {
+          unit.resumed = unit.slice.size() - remaining.size();
+        }
         if (remaining.empty()) {
           unit.state = Unit::State::kDone;
           continue;
@@ -680,6 +690,7 @@ inject::CampaignResult FabricCoordinator::run(const inject::CampaignPlan& plan,
     result.fabric_backoff_seconds += ep.stats.backoff_seconds;
   }
   for (const Unit& u : units) {
+    result.resumed_records += u.resumed;
     result.fabric_redispatches += u.dispatches > 1 ? u.dispatches - 1 : 0;
     if (!u.done_frame) continue;
     result.stalls += u.done_frame->stalls;

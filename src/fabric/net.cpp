@@ -13,7 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "fabric/codec.hpp"
+#include "common/codec.hpp"
 
 namespace kfi::fabric {
 
@@ -27,43 +27,16 @@ using codec::put_blob;
 using codec::put_double;
 using codec::put_string;
 
-/// Move `size` bytes through `io(offset, count)` (a read/write/send),
-/// retrying short transfers and EINTR.  Any other error, or EOF, fails.
-template <typename Io>
-bool transfer_all(size_t size, Io io) {
-  for (size_t at = 0; at < size;) {
-    const ssize_t n = io(at, size - at);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    at += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
 }  // namespace
 
-bool write_all(int fd, const void* data, size_t size) {
-  const u8* p = static_cast<const u8*>(data);
-  return transfer_all(size, [&](size_t at, size_t n) {
-    return ::write(fd, p + at, n);
-  });
-}
-
 bool send_all(int fd, const void* data, size_t size) {
   const u8* p = static_cast<const u8*>(data);
-  return transfer_all(size, [&](size_t at, size_t n) {
+  return codec::transfer_all(size, [&](size_t at, size_t n) {
     return ::send(fd, p + at, n, MSG_NOSIGNAL);
-  });
-}
-
-bool read_exact(int fd, void* data, size_t size) {
-  u8* p = static_cast<u8*>(data);
-  return transfer_all(size, [&](size_t at, size_t n) {
-    return ::read(fd, p + at, n);
   });
 }
 

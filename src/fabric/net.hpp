@@ -22,33 +22,27 @@
 // so the single-host fabric's FrameReader and StatusFrame codec are
 // reused unchanged — one status vocabulary for pipes and sockets.
 //
-// This header also owns the shared low-level write/read helpers: every
-// fabric pipe- and socket-write path retries EINTR and short writes the
-// same way the journal's appends always have.
+// Pipe and socket I/O retries EINTR and short transfers through the
+// common codec's helpers, the same ones the journal's appends use.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/types.hpp"
-#include "fabric/codec.hpp"
 
 namespace kfi::fabric {
 
-/// write(2) the whole buffer, retrying short writes and EINTR.  Returns
-/// false on any other error (e.g. EPIPE/ECONNRESET: the peer is gone).
-bool write_all(int fd, const void* data, size_t size);
+using codec::read_exact;
+using codec::write_all;
 
 /// write_all for sockets: send(2) with MSG_NOSIGNAL, so a vanished peer
 /// surfaces as a false return (EPIPE) instead of a SIGPIPE.  Pipes keep
 /// using write_all — the single-host worker relies on the default
 /// SIGPIPE disposition for orphan suicide.
 bool send_all(int fd, const void* data, size_t size);
-
-/// read(2) exactly `size` bytes, retrying short reads and EINTR.
-/// Returns false on EOF or any other error before `size` bytes arrived.
-bool read_exact(int fd, void* data, size_t size);
 
 /// Bind + listen on `bind_addr:port` (port 0 = ephemeral).  Returns the
 /// listening fd, or -1 with `*err` describing the failure.

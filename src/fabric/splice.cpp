@@ -119,7 +119,6 @@ inject::CampaignResult splice_journals(const inject::CampaignPlan& plan,
       ++result.quarantined;
     }
   }
-  result.resumed_records = stats.chosen;
   result.fabric_spliced_duplicates = stats.duplicates;
   if (stats_out != nullptr) *stats_out = stats;
   return result;

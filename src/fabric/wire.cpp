@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "fabric/codec.hpp"
+#include "common/codec.hpp"
 
 namespace kfi::fabric {
 

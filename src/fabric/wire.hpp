@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "fabric/codec.hpp"
+#include "common/codec.hpp"
 #include "inject/plan.hpp"
 
 namespace kfi::fabric {

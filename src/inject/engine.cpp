@@ -30,6 +30,7 @@ struct WorkerTotals {
   u64 harness_retries = 0;
   u64 backoff_waits = 0;
   double backoff_seconds = 0.0;
+  kernel::SpinStats spin;  // fast-forwards, summed per completed injection
   u32 private_pages = 0;  // worker machine's resident pages at exit
   std::exception_ptr error;
 };
@@ -253,6 +254,7 @@ CampaignResult CampaignEngine::run(const CampaignPlan& plan,
         bool ok = false;
         bool stalled = false;
         u32 attempts = 0;
+        kernel::SpinStats spin;
 
         for (u32 attempt = 0; attempt < max_attempts && !ok && !stalled;
              ++attempt) {
@@ -272,8 +274,12 @@ CampaignResult CampaignEngine::run(const CampaignPlan& plan,
             const u64 sent0 = rig->channel.sent();
             const u64 dropped0 = rig->channel.dropped();
             const u64 cycles0 = rig->runner.simulated_cycles();
+            const kernel::SpinStats spin0 = rig->machine.spin_stats();
             result.records[i] =
                 rig->runner.run_one(plan.targets[i], plan.run_seeds[i], i);
+            spin.skips = rig->machine.spin_stats().skips - spin0.skips;
+            spin.skipped_cycles = rig->machine.spin_stats().skipped_cycles -
+                                  spin0.skipped_cycles;
             entry.reboots = rig->runner.reboots() - reboots0;
             entry.datagrams_sent = rig->channel.sent() - sent0;
             entry.datagrams_dropped = rig->channel.dropped() - dropped0;
@@ -310,6 +316,8 @@ CampaignResult CampaignEngine::run(const CampaignPlan& plan,
           st.totals.datagrams_sent += entry.datagrams_sent;
           st.totals.datagrams_dropped += entry.datagrams_dropped;
           st.totals.simulated_cycles += entry.simulated_cycles;
+          st.totals.spin.skips += spin.skips;
+          st.totals.spin.skipped_cycles += spin.skipped_cycles;
           entry.record = result.records[i];
         } else {
           // Quarantine: a distinct harness-error record (message
@@ -406,6 +414,8 @@ CampaignResult CampaignEngine::run(const CampaignPlan& plan,
     result.datagrams_sent += st->totals.datagrams_sent;
     result.datagrams_dropped += st->totals.datagrams_dropped;
     result.throughput.simulated_cycles += st->totals.simulated_cycles;
+    result.throughput.spin_skips += st->totals.spin.skips;
+    result.throughput.spin_skipped_cycles += st->totals.spin.skipped_cycles;
     result.quarantined += st->totals.quarantined;
     result.stalls += st->totals.stalls;
     result.harness_retries += st->totals.harness_retries;

@@ -56,6 +56,12 @@ struct CampaignThroughput {
   /// image.  0 when no worker executed anything.
   u64 worker_private_pages = 0;   // summed across workers
   u32 max_worker_private_pages = 0;  // largest single worker
+  /// Spin-loop fast-forwards the worker machines took (Machine::run) and
+  /// the simulated cycles they charged without simulating them; summed
+  /// per completed injection.  In-process runs only: fabric results
+  /// carry zeroes.
+  u64 spin_skips = 0;
+  u64 spin_skipped_cycles = 0;
 
   double injections_per_second(size_t injections) const {
     return run_seconds > 0.0

@@ -3,11 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "common/codec.hpp"
 #include "errnoinj/errno_model.hpp"
 #include "inject/plan.hpp"
 
@@ -18,84 +17,14 @@ namespace {
 constexpr u32 kJournalMagic = 0x4B46494A;  // "KFIJ"
 constexpr u32 kEntryMagic = 0x4B464945;    // "KFIE"
 
-u64 fnv1a(const u8* data, size_t size) {
-  u64 h = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-void put8(std::vector<u8>& out, u8 v) { out.push_back(v); }
-
-void put32(std::vector<u8>& out, u32 v) {
-  out.push_back(static_cast<u8>(v >> 24));
-  out.push_back(static_cast<u8>(v >> 16));
-  out.push_back(static_cast<u8>(v >> 8));
-  out.push_back(static_cast<u8>(v));
-}
-
-void put64(std::vector<u8>& out, u64 v) {
-  put32(out, static_cast<u32>(v >> 32));
-  put32(out, static_cast<u32>(v));
-}
-
-void put_double(std::vector<u8>& out, double d) {
-  u64 bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  put64(out, bits);
-}
-
-void put_string(std::vector<u8>& out, const std::string& s) {
-  put32(out, static_cast<u32>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked big-endian reader: every get_* returns a default and
-/// latches `ok = false` once the input runs out, so malformed input can
-/// never read past the buffer.
-struct Cursor {
-  const std::vector<u8>& in;
-  size_t pos;
-  bool ok = true;
-
-  bool have(size_t n) {
-    if (!ok || in.size() - pos < n || pos > in.size()) ok = false;
-    return ok;
-  }
-  u8 get8() {
-    if (!have(1)) return 0;
-    return in[pos++];
-  }
-  u32 get32() {
-    if (!have(4)) return 0;
-    const u32 v = (static_cast<u32>(in[pos]) << 24) |
-                  (static_cast<u32>(in[pos + 1]) << 16) |
-                  (static_cast<u32>(in[pos + 2]) << 8) |
-                  static_cast<u32>(in[pos + 3]);
-    pos += 4;
-    return v;
-  }
-  u64 get64() {
-    const u64 hi = get32();
-    return (hi << 32) | get32();
-  }
-  double get_double() {
-    const u64 bits = get64();
-    double d = 0.0;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-  }
-  std::string get_string() {
-    const u32 len = get32();
-    if (!have(len)) return {};
-    std::string s(in.begin() + static_cast<long>(pos),
-                  in.begin() + static_cast<long>(pos + len));
-    pos += len;
-    return s;
-  }
-};
+using codec::Cursor;
+using codec::fnv1a;
+using codec::put8;
+using codec::put32;
+using codec::put64;
+using codec::put_double;
+using codec::put_string;
+using codec::write_all;
 
 }  // namespace
 
@@ -355,20 +284,6 @@ std::optional<JournalEntry> deserialize_journal_entry(
 }
 
 namespace {
-
-/// write(2) the whole buffer, retrying short writes and EINTR.
-bool write_all(int fd, const u8* data, size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
-}
 
 /// fsync the directory holding `path` so a freshly created journal file
 /// survives a machine crash, not just a process crash.  Best-effort: some

@@ -104,6 +104,19 @@ class CpuCore {
   virtual CpuSnapshot snapshot() const = 0;
   virtual void restore(const CpuSnapshot& snap) = 0;
 
+  /// True when the registers equal `snap`'s (its cycle count aside).
+  /// Allocation-free: the machine's spin-loop detector calls it at block
+  /// starts.  Default: never equal, so nothing is ever fast-forwarded.
+  virtual bool registers_equal(const CpuSnapshot& /*snap*/) const {
+    return false;
+  }
+
+  /// Instructions executed so far that copied the cycle counter into
+  /// architectural state (riscf mftb).  A loop that reads the clock is
+  /// not periodic in time, so the spin-loop detector refuses any period
+  /// in which this count moved.
+  virtual u64 cycle_reads() const { return 0; }
+
   /// Attach (nullptr detaches) an observational error-propagation trace
   /// sink.  Hook sites are guarded null checks, so execution — cycle
   /// counts, memory traffic, RNG draws — is bit-identical with or without

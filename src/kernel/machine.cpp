@@ -1,5 +1,7 @@
 #include "kernel/machine.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <unordered_map>
 
 #include "cisca/cpu.hpp"
@@ -15,6 +17,13 @@ namespace kfi::kernel {
 namespace {
 
 constexpr u32 kPercpuBase = 0xC0003000u;
+
+/// Blocks one run() call dispatches before the spin-loop detector starts
+/// probing.  A spin hang never leaves run(); an ordinary syscall returns
+/// long before, paying one counter increment per block.
+constexpr u64 kSpinGateBlocks = u64{1} << 14;
+/// Most pages a period may rewrite and still be proven to repeat.
+constexpr size_t kSpinMaxPages = 8;
 
 /// Map from pc to function index, built once per machine for profiling.
 std::unordered_map<Addr, u32> build_entry_map(const kir::Image& image) {
@@ -693,8 +702,137 @@ void Machine::maybe_deliver_timer() {
   enter_isr(/*from_user=*/false);
 }
 
+Machine::RuntimeKey Machine::runtime_key() const {
+  return {syscall_active_,    pending_syscall_, pending_user_ticks_,
+          next_timer_,        user_cycles_total_, expected_sprg2_,
+          current_syscall_nr_, rng_.state()};
+}
+
+bool Machine::spin_eligible() {
+  // Anything that watches single instructions, or ends a run somewhere
+  // other than at a cycle, would notice the skipped periods.
+  isa::DebugUnit& debug = cpu_->debug();
+  return trace_ == nullptr && !profiling_ && !debug.insn_bp_armed() &&
+         !debug.data_bp_any() &&
+         (harness_interrupt_ == nullptr ||
+          harness_interrupt_->step_budget == 0);
+}
+
+void Machine::spin_save() {
+  SpinProbe& p = spin_;
+  p.armed = true;
+  p.verifying = false;
+  p.blocked = false;
+  p.lam = 0;
+  p.pc = cpu_->pc();
+  p.cycles = cpu_->cycles();
+  p.cycle_reads = cpu_->cycle_reads();
+  p.cpu = cpu_->snapshot();
+  p.runtime = runtime_key();
+  p.glue = glue_stack_;
+  const mem::PhysicalMemory& pm = space_.phys();
+  p.versions.resize(pm.num_pages());
+  for (u32 page = 0; page < pm.num_pages(); ++page) {
+    p.versions[page] = pm.page_version(page);
+  }
+}
+
+bool Machine::spin_memory_repeats() {
+  SpinProbe& p = spin_;
+  if (p.blocked) return false;
+  const mem::PhysicalMemory& pm = space_.phys();
+  p.moved.clear();
+  for (u32 page = 0; page < pm.num_pages(); ++page) {
+    if (pm.page_version(page) == p.versions[page]) continue;
+    if (p.moved.size() == kSpinMaxPages) {
+      p.blocked = true;
+      return false;
+    }
+    p.moved.push_back(page);
+  }
+  if (p.moved.empty()) return true;  // nothing written: memory repeats
+  if (p.verifying) {
+    // Every page written since the saved state must be one copied there
+    // and hold the same bytes again.
+    for (const u32 page : p.moved) {
+      const auto it = std::find(p.pages.begin(), p.pages.end(), page);
+      if (it == p.pages.end() ||
+          std::memcmp(pm.page_data(page),
+                      p.bytes.data() + (it - p.pages.begin()) * mem::kPageSize,
+                      pm.page_bytes(page)) != 0) {
+        p.blocked = true;
+        return false;
+      }
+    }
+    return true;
+  }
+  // The registers repeat but some pages were written.  Save this state
+  // with copies of those pages; a period that rewrites only them and
+  // leaves them byte-identical proves the repeat.
+  spin_save();
+  p.verifying = true;
+  p.pages = p.moved;
+  p.bytes.resize(p.pages.size() * mem::kPageSize);
+  for (size_t i = 0; i < p.pages.size(); ++i) {
+    std::memcpy(p.bytes.data() + i * mem::kPageSize,
+                pm.page_data(p.pages[i]), pm.page_bytes(p.pages[i]));
+  }
+  return false;
+}
+
+bool Machine::spin_skip(u64 stop_cycles) {
+  SpinProbe& p = spin_;
+  p.armed = false;  // probe afresh once the skipped periods are charged
+  const u64 now = cpu_->cycles();
+  const u64 period = now - p.cycles;
+  // The nearest cycle-driven event: the stop, or the next tick unless an
+  // ISR is live.  Whether IF is set right here does not matter: it may be
+  // set elsewhere in the period.  A tick already due cannot fire (the
+  // period closed without delivering it, so IF is clear throughout).
+  u64 bound = stop_cycles;
+  const bool isr_live =
+      std::any_of(glue_stack_.begin(), glue_stack_.end(),
+                  [](const GlueFrame& f) { return f.kind == GlueKind::kIsr; });
+  if (!isr_live && next_timer_ > now && (bound == 0 || next_timer_ < bound)) {
+    bound = next_timer_;
+  }
+  if (bound <= now || period == 0) return false;
+  const u64 skipped = (bound - now) / period * period;
+  if (skipped == 0) return false;
+  cpu_->add_cycles(skipped);
+  ++spin_stats_.skips;
+  spin_stats_.skipped_cycles += skipped;
+  return true;
+}
+
+bool Machine::spin_probe(u64 stop_cycles) {
+  SpinProbe& p = spin_;
+  if (!p.eligible) return false;
+  if (!p.armed) {
+    p.power = 1;
+    spin_save();
+    return false;
+  }
+  ++p.lam;
+  if (cpu_->pc() == p.pc && cpu_->cycle_reads() == p.cycle_reads &&
+      cpu_->registers_equal(p.cpu) && runtime_key() == p.runtime &&
+      glue_stack_ == p.glue && spin_memory_repeats()) {
+    return spin_skip(stop_cycles);
+  }
+  if (p.lam >= p.power) {
+    p.power *= 2;
+    spin_save();
+  }
+  return false;
+}
+
 Event Machine::run(u64 stop_cycles) {
   u64 steps = 0;
+  u64 blocks = 0;
+  // Flips, begin_syscall, breakpoint arming and restores all happen
+  // between calls: nothing saved by an earlier call may be compared.
+  spin_.eligible = spin_eligible();
+  spin_.armed = false;
   for (;;) {
     if (harness_interrupt_ != nullptr) {
       if (harness_interrupt_->requested.load(std::memory_order_relaxed)) {
@@ -739,6 +877,10 @@ Event Machine::run(u64 stop_cycles) {
 
     isa::StepResult sr;
     if (options_.superblock && !profiling_) {
+      // A state equal to one saved earlier in this call repeats forever
+      // (barring cycle-driven events): skip whole periods, then re-check
+      // the stop and the timer at the cycle they were skipped to.
+      if (++blocks > kSpinGateBlocks && spin_probe(stop_cycles)) continue;
       // One block dispatch stands for up to kMaxBlockInsns iterations of
       // this loop.  The limits reproduce the per-iteration checks above
       // exactly: the cycle bound is the nearest of stop_cycles and the
@@ -781,6 +923,7 @@ Event Machine::run(u64 stop_cycles) {
         // interrupts are masked.
         if (interrupts_enabled() && next_timer_ > cpu_->cycles()) {
           cpu_->add_cycles(next_timer_ - cpu_->cycles());
+          spin_.armed = false;  // a cycle-dependent charge: not periodic
         } else if (!interrupts_enabled()) {
           cpu_->add_cycles(10'000'000);  // burn budget: effectively hung
         }

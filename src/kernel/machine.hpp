@@ -22,6 +22,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -122,6 +123,13 @@ struct MachineOptions {
   bool cow_memory = true;
 };
 
+/// Spin-loop fast-forward counters (see Machine::run).  Observational:
+/// a fast-forward charges exactly the cycles it skips.
+struct SpinStats {
+  u64 skips = 0;           // fast-forwards taken
+  u64 skipped_cycles = 0;  // cycles charged without being simulated
+};
+
 /// Snapshot of a whole machine (memory + CPU + runtime), used to "reboot"
 /// between injections in microseconds.  Memory is a shared immutable
 /// buffer: copying a MachineSnapshot (e.g. handing the boot snapshot to a
@@ -169,6 +177,13 @@ class Machine {
 
   /// Execute until an event occurs or `stop_cycles` is reached (0 = no
   /// cycle stop).  Breakpoint events leave the machine resumable.
+  ///
+  /// With superblocks on, a long run that revisits an identical machine
+  /// state is in a periodic orbit, and run() skips the whole periods left
+  /// before the next cycle-driven event, charging their cycles: the
+  /// result is the cycle-exact state the simulation would have reached
+  /// (DESIGN §10).  Never with a trace sink, profiling, an armed
+  /// breakpoint, or a harness step budget.
   Event run(u64 stop_cycles = 0);
 
   bool idle() const { return !syscall_active_ && glue_stack_.empty(); }
@@ -197,6 +212,9 @@ class Machine {
   /// Total simulated user-mode cycles charged so far (for estimating the
   /// kernel-time fraction of wall-clock, used by the register injector).
   u64 user_cycles() const { return user_cycles_total_; }
+
+  /// Spin-loop fast-forwards run() has taken since construction.
+  const SpinStats& spin_stats() const { return spin_stats_; }
 
   /// Convenience: run one syscall to completion (no breakpoints in play).
   Event syscall(Syscall nr, u32 a0 = 0, u32 a1 = 0, u32 a2 = 0,
@@ -233,9 +251,34 @@ class Machine {
   struct GlueFrame {
     GlueKind kind;
     bool from_user = false;
+    bool operator==(const GlueFrame&) const = default;
   };
   struct PendingSyscall {
     u32 nr, a0, a1, a2;
+    bool operator==(const PendingSyscall&) const = default;
+  };
+  /// The runtime fields besides the glue stack that the rest of a run
+  /// depends on: what a spin-loop period must bring back unchanged.
+  using RuntimeKey = std::tuple<bool, std::optional<PendingSyscall>, u32,
+                                u64, u64, u32, u32, std::array<u64, 4>>;
+  /// Brent-style cycle finder over block-start states (see spin_probe).
+  struct SpinProbe {
+    bool eligible = false;  // this run() call may skip (spin_eligible)
+    bool armed = false;     // a saved state exists
+    bool verifying = false;  // the saved state's rewritten pages are copied
+    bool blocked = false;   // no memory proof until the next save
+    u64 power = 1;          // blocks until the next save
+    u64 lam = 0;            // blocks since the last save
+    Addr pc = 0;
+    u64 cycles = 0;
+    u64 cycle_reads = 0;
+    isa::CpuSnapshot cpu;
+    RuntimeKey runtime;
+    std::vector<GlueFrame> glue;
+    std::vector<u64> versions;  // page write versions
+    std::vector<u32> pages;     // pages copied for a proof
+    std::vector<u8> bytes;      // their contents at the saved state
+    std::vector<u32> moved;     // scratch: pages written since the save
   };
 
   void boot();
@@ -251,6 +294,12 @@ class Machine {
   bool sp_out_of_any_stack(Addr sp) const;
   u64 jitter(u64 lo, u64 hi);
   Addr glue_addr(u32 offset) const { return kGlueBase + offset; }
+  RuntimeKey runtime_key() const;
+  bool spin_probe(u64 stop_cycles);
+  bool spin_eligible();
+  void spin_save();
+  bool spin_memory_repeats();
+  bool spin_skip(u64 stop_cycles);
 
   isa::Arch arch_;
   MachineOptions options_;
@@ -286,6 +335,9 @@ class Machine {
   trace::TraceSink* trace_ = nullptr;
   SyscallResultHook* result_hook_ = nullptr;
   u32 current_syscall_nr_ = 0;  // nr of the in-flight syscall (hook arg)
+
+  SpinProbe spin_;
+  SpinStats spin_stats_;
 
   MachineSnapshot boot_snapshot_;
 };

@@ -75,6 +75,19 @@ class PhysicalMemory {
   /// superblock caches use this to detect stale entries.
   u64 page_version(u32 page) const { return page_version_[page]; }
 
+  /// Bytes backing one page: kPageSize except for a short last page.
+  u32 page_bytes(u32 page) const {
+    const u32 off = page << kPageShift;
+    const u32 remain = size_ - off;
+    return remain < kPageSize ? remain : kPageSize;
+  }
+
+  /// Read-only view of one page's page_bytes() bytes, valid until the
+  /// next write or restore.  Reading through it bumps no version, so the
+  /// spin-loop detector can copy and compare pages without disturbing
+  /// the caches that validate against versions.
+  const u8* page_data(u32 page) const { return read_pages_[page]; }
+
   /// Copy-on-write control.  Enabled by default; disabling materializes
   /// every page so all subsequent restores copy instead of re-pointing.
   void set_cow_enabled(bool on);
@@ -210,12 +223,6 @@ class PhysicalMemory {
     const u32 last = (pa + len - 1) >> kPageShift;
     ++page_version_[first];
     if (last != first) ++page_version_[last];
-  }
-
-  u32 page_bytes(u32 page) const {
-    const u32 off = page << kPageShift;
-    const u32 remain = size_ - off;
-    return remain < kPageSize ? remain : kPageSize;
   }
 
   /// The page's private writable copy, materialized on first write.

@@ -834,6 +834,7 @@ struct RiscfOps {
   }
   static void mftb(RiscfCpu& c, const Insn& insn) {
     c.regs_.gpr[insn.rt] = static_cast<u32>(c.cycles_);
+    ++c.cycle_reads_;
     c.regs_.pc += 4;
   }
   static void mtcrf(RiscfCpu& c, const Insn& insn) {
@@ -1240,28 +1241,34 @@ void RiscfCpu::trace_writes(const Insn& insn) {
   }
 }
 
+template <class F>
+void RiscfCpu::for_each_snapshot_word(F&& f) const {
+  for (u32 i = 0; i < kNumGprs; ++i) f(regs_.gpr[i]);
+  for (const u32 w : {regs_.pc, regs_.lr, regs_.ctr, regs_.cr, regs_.xer,
+                      regs_.msr, regs_.srr0, regs_.srr1, regs_.dsisr,
+                      regs_.dar, regs_.dec, regs_.sdr1}) {
+    f(w);
+  }
+  for (int i = 0; i < 4; ++i) f(regs_.sprg[i]);
+  f(regs_.hid0);
+  f(regs_.hid1);
+  for (const auto& [spr, value] : spr_storage_) f(value);
+}
+
 isa::CpuSnapshot RiscfCpu::snapshot() const {
   isa::CpuSnapshot snap;
   snap.cycles = cycles_;
-  snap.words.reserve(kNumGprs + 16 + spr_storage_.size());
-  for (u32 i = 0; i < kNumGprs; ++i) snap.words.push_back(regs_.gpr[i]);
-  snap.words.push_back(regs_.pc);
-  snap.words.push_back(regs_.lr);
-  snap.words.push_back(regs_.ctr);
-  snap.words.push_back(regs_.cr);
-  snap.words.push_back(regs_.xer);
-  snap.words.push_back(regs_.msr);
-  snap.words.push_back(regs_.srr0);
-  snap.words.push_back(regs_.srr1);
-  snap.words.push_back(regs_.dsisr);
-  snap.words.push_back(regs_.dar);
-  snap.words.push_back(regs_.dec);
-  snap.words.push_back(regs_.sdr1);
-  for (int i = 0; i < 4; ++i) snap.words.push_back(regs_.sprg[i]);
-  snap.words.push_back(regs_.hid0);
-  snap.words.push_back(regs_.hid1);
-  for (const auto& [spr, value] : spr_storage_) snap.words.push_back(value);
+  snap.words.reserve(kNumGprs + 18 + spr_storage_.size());
+  for_each_snapshot_word([&snap](u32 w) { snap.words.push_back(w); });
   return snap;
+}
+
+bool RiscfCpu::registers_equal(const isa::CpuSnapshot& snap) const {
+  if (snap.words.size() != kNumGprs + 18 + spr_storage_.size()) return false;
+  size_t i = 0;
+  bool equal = true;
+  for_each_snapshot_word([&](u32 w) { equal = equal && snap.words[i++] == w; });
+  return equal;
 }
 
 void RiscfCpu::restore(const isa::CpuSnapshot& snap) {

@@ -48,6 +48,8 @@ class RiscfCpu final : public isa::CpuCore {
   Addr stack_pointer() const override { return regs_.gpr[kSp]; }
   isa::CpuSnapshot snapshot() const override;
   void restore(const isa::CpuSnapshot& snap) override;
+  bool registers_equal(const isa::CpuSnapshot& snap) const override;
+  u64 cycle_reads() const override { return cycle_reads_; }
   void set_decode_cache_enabled(bool enabled) override;
   bool decode_cache_enabled() const override { return dcache_enabled_; }
   isa::DecodeCacheStats decode_cache_stats() const override {
@@ -128,6 +130,11 @@ class RiscfCpu final : public isa::CpuCore {
   /// cache when enabled.  Reference valid until the next call.
   const Insn& decode_cached(u32 phys);
 
+  /// Call f(word) for every snapshot word, in snapshot order: the GPRs,
+  /// the named registers, then the inert SPR storage.
+  template <class F>
+  void for_each_snapshot_word(F&& f) const;
+
   [[noreturn]] void raise(Cause cause, Addr addr = 0, bool has_addr = false,
                           u32 aux = 0);
   u32 read_mem(Addr addr, u8 width);
@@ -169,6 +176,7 @@ class RiscfCpu final : public isa::CpuCore {
   RegFile regs_;
   isa::DebugUnit debug_;
   Cycles cycles_ = 0;
+  u64 cycle_reads_ = 0;  // mftb executions (see cycle_reads())
   isa::StepResult* current_result_ = nullptr;
   trace::TraceSink* sink_ = nullptr;
   std::map<u32, u32> spr_storage_;  // inert supervisor SPRs (BATs, PMCs, ...)

@@ -25,6 +25,7 @@
 #include "fabric/coordinator.hpp"
 #include "fabric/wire.hpp"
 #include "inject/campaign.hpp"
+#include "inject/journal.hpp"
 #include "inject/plan.hpp"
 
 namespace kfi::fabric {
@@ -92,6 +93,9 @@ TEST_P(FabricChaosTest, WorkerKillsLeaveThePinnedFingerprint) {
   EXPECT_GT(result.fabric_backoff_waits, 0u);
   EXPECT_EQ(result.fabric_workers, 3u);
   EXPECT_EQ(stats.missing, 0u);
+  // A fresh run resumes nothing, even though every restarted worker
+  // picked up the records its killed predecessor journaled.
+  EXPECT_EQ(result.resumed_records, 0u);
   remove_shards(coordinator, total);
 }
 
@@ -137,11 +141,19 @@ TEST(FabricDegradation, AbortsBelowMinWorkersThenResumesBitIdentically) {
   opt.max_restarts = 3;
   opt.chaos_kill_after = 0;
   FabricCoordinator coordinator(opt);
+  u64 recovered = 0;
+  for (const std::string& p : coordinator.journal_paths(total)) {
+    if (!std::filesystem::exists(p)) continue;
+    for (const inject::JournalEntry& e : inject::read_journal_file(p).entries) {
+      recovered += e.record.outcome != inject::OutcomeCategory::kHarnessError;
+    }
+  }
+  ASSERT_GT(recovered, 0u);
   const CampaignResult result = coordinator.run(plan);
   EXPECT_EQ(inject::result_fingerprint(result), kPinnedCisca);
   EXPECT_EQ(result.executed(), total);
-  // Some records came from the phase-1 journals, not fresh execution.
-  EXPECT_GT(result.resumed_records, 0u);
+  // Exactly the phase-1 records count as resumed, not the whole result.
+  EXPECT_EQ(result.resumed_records, recovered);
   remove_shards(coordinator, total);
 }
 

@@ -169,6 +169,7 @@ TEST_P(RemoteLoopbackTest, TwoDaemonsReproduceThePinnedFingerprint) {
   EXPECT_EQ(result.fabric_workers, 2u);
   EXPECT_EQ(result.fabric_worker_deaths, 0u);
   EXPECT_EQ(stats.missing, 0u);
+  EXPECT_EQ(result.resumed_records, 0u);  // fresh: nothing recovered
   // The supervisor ledger names both endpoints and the live tally flowed.
   ASSERT_EQ(result.fabric_hosts.size(), 2u);
   EXPECT_EQ(result.fabric_hosts[0].host, d1.host().label());
@@ -214,8 +215,17 @@ TEST(RemoteReuse, BackToBackRunsOnTheSameDaemonsSeeNoDeaths) {
         << "run " << run;
     EXPECT_EQ(result.fabric_worker_deaths, 0u) << "run " << run;
     EXPECT_EQ(result.fabric_redispatches, 0u) << "run " << run;
+    EXPECT_EQ(result.resumed_records, 0u) << "run " << run;
     remove_shards(coordinator, total);
   }
+  // A resuming rerun (fresh=false) finds every index in the daemons'
+  // shard journals: the daemons report all of them as resumed.
+  opt.fresh = false;
+  RemoteCoordinator coordinator(opt);
+  const CampaignResult resumed = coordinator.run(plan);
+  EXPECT_EQ(inject::result_fingerprint(resumed), kPinnedCisca);
+  EXPECT_EQ(resumed.resumed_records, total);
+  remove_shards(coordinator, total);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothArches, RemoteLoopbackTest,

@@ -481,8 +481,8 @@ int main(int argc, char** argv) {
   }
   const bool use_fabric = fabric_workers > 0 || !hosts.empty();
   const char* fabric_flag = hosts.empty() ? "--fabric" : "--hosts";
-  // --hosts --dry-run may omit the journal; --fabric always needs one.
-  if (use_fabric && journal_path.empty() && !(dry_run && !hosts.empty())) {
+  // A dry run writes nothing, so only a real fabric run needs a journal.
+  if (use_fabric && journal_path.empty() && !dry_run) {
     std::fprintf(stderr,
                  "%s requires --journal PATH (shard journals are the "
                  "crash-recovery substrate)\n",

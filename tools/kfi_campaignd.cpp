@@ -185,7 +185,13 @@ void serve_session(int fd, const std::string& dir) {
 
     fabric::AcceptInfo info;
     info.plan_fingerprint = shard.plan_fp;
-    info.resumed = static_cast<u32>(journal.recovered().size());
+    for (const inject::JournalEntry& e : journal.recovered()) {
+      if (e.record.outcome != inject::OutcomeCategory::kHarnessError &&
+          std::binary_search(shard.indices.begin(), shard.indices.end(),
+                             e.index)) {
+        ++info.resumed;
+      }
+    }
     info.pid = static_cast<u32>(::getpid());
     if (!fabric::send_message(fd, fabric::NetMessage{
                                       fabric::MsgType::kAccept,

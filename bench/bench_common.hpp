@@ -13,14 +13,11 @@
 //   KFI_JOBS        campaign worker threads        (default 1 = serial,
 //                   0 = hardware concurrency; results are bit-identical
 //                   for any value)
-//   KFI_DECODE_CACHE  0 disables the predecoded-instruction cache
-//                     (default 1; bit-identical results either way)
-//   KFI_FAST_REBOOT   0 forces full-copy snapshot restores
-//                     (default 1; bit-identical results either way)
-//   KFI_SUPERBLOCK    0 disables superblock (multi-instruction trace)
-//                     execution (default 1; bit-identical either way)
-//   KFI_COW           0 disables copy-on-write page sharing
-//                     (default 1; bit-identical either way)
+//
+// Campaigns run the production machine configuration.  The plain
+// reference configuration (kernel::MachineOptions::reference) is set in
+// code by the benches that compare against it: fastpath_crosscheck,
+// micro_simulators and campaign_scaling's reboot report.
 #pragma once
 
 #include <cstdio>
@@ -57,10 +54,6 @@ inline inject::CampaignSpec base_spec(isa::Arch arch,
   spec.kind = kind;
   spec.injections = env_u32("KFI_INJECTIONS", default_injections);
   spec.seed = env_u64("KFI_SEED", 1);
-  spec.machine.decode_cache = env_u32("KFI_DECODE_CACHE", 1) != 0;
-  spec.machine.fast_reboot = env_u32("KFI_FAST_REBOOT", 1) != 0;
-  spec.machine.superblock = env_u32("KFI_SUPERBLOCK", 1) != 0;
-  spec.machine.cow_memory = env_u32("KFI_COW", 1) != 0;
   return spec;
 }
 

@@ -31,13 +31,14 @@ namespace {
 
 using namespace kfi;
 
-/// Per-injection "reboot" cost, fast (dirty-page) vs full-copy restore:
-/// each rep dirties memory with one syscall (untimed intent; it is cheap
-/// next to a full copy) and restores the boot snapshot (the measured op).
+/// Per-injection "reboot" cost, production (dirty-page) vs reference
+/// (full-copy) restore: each rep dirties memory with one syscall (untimed
+/// intent; it is cheap next to a full copy) and restores the boot
+/// snapshot (the measured op).
 void report_reboot_cost(isa::Arch arch) {
-  for (const bool fast : {true, false}) {
+  for (const bool reference : {false, true}) {
     kernel::MachineOptions opts;
-    opts.fast_reboot = fast;
+    opts.reference = reference;
     kernel::Machine machine(arch, opts);
     auto& pm = machine.space().phys();
     constexpr u32 kReps = 200;
@@ -54,8 +55,8 @@ void report_reboot_cost(isa::Arch arch) {
         static_cast<double>(pm.restore_pages_copied() - pages_before) / kReps;
     std::printf(
         "reboot(%s, %s): %7.2f us/reboot  %6.1f pages copied (of %u)\n",
-        isa::arch_name(arch).c_str(), fast ? "dirty-page" : "full-copy", us,
-        pages, pm.num_pages());
+        isa::arch_name(arch).c_str(),
+        reference ? "full-copy" : "dirty-page", us, pages, pm.num_pages());
   }
 }
 

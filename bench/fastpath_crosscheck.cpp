@@ -1,85 +1,136 @@
-// Fast-path cross-check: the predecoded-instruction cache, the dirty-page
-// reboot, and superblock execution are pure speedups, so a campaign run
-// with any of them disabled must produce the bit-identical merged result.
-// This is the acceptance gate for those optimizations: one frozen plan per
-// arch x campaign kind, executed with every knob combination, compared
-// through inject::result_fingerprint.  Exits non-zero on any divergence.
+// Fast-path cross-check: the production machine configuration (decode
+// cache, superblocks with spin-loop fast-forward, dirty-page reboot,
+// copy-on-write pages) is a pure speedup over the plain reference
+// configuration (kernel::MachineOptions::reference: single-step decode
+// from memory, full-copy reboot, every page private), so a campaign must
+// merge to the bit-identical result under both.  This is the acceptance
+// gate for every hot-loop optimization: one frozen plan per case,
+// executed under both configurations, compared through
+// inject::result_fingerprint.  Exits non-zero on any divergence.
 //
-// Knobs: KFI_INJECTIONS (default 96), KFI_SEED, KFI_JOBS.
+// Cases, on both arches: every campaign kind (errno included), a two-bit
+// data shape and a stack rate trigger, each for three seeds; then the
+// seed-1 n=186 code campaigns, which hold spin hangs, so production must
+// report at least one spin-loop fast-forward on each.
+//
+// Knobs: KFI_INJECTIONS (default 24, the per-case size of the seed
+// sweep), KFI_JOBS.
 #include <cinttypes>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "errnoinj/errno_model.hpp"
 
 using namespace kfi;
 
 namespace {
 
-struct Variant {
-  const char* name;
-  bool decode_cache;
-  bool fast_reboot;
-  bool superblock;
+struct Case {
+  std::string name;
+  inject::CampaignSpec spec;
+  bool expect_spin_skips = false;
 };
 
-// Full cross of the three bit-exact perf knobs (COW is exercised
-// separately by the parity tests: it changes restore mechanics, not the
-// step path, and every engine run above jobs=1 already goes through it).
-constexpr Variant kVariants[] = {
-    {"cache+fast+sb", true, true, true},
-    {"nocache      ", false, true, true},
-    {"fullcopy     ", true, false, true},
-    {"nosb         ", true, true, false},
-    {"nocache+nosb ", false, true, false},
-    {"fullcopy+nosb", true, false, false},
-    {"cache-only   ", true, false, false},
-    {"neither      ", false, false, false},
-};
+inject::CampaignSpec make_spec(isa::Arch arch, inject::CampaignKind kind,
+                               u32 n, u64 seed) {
+  inject::CampaignSpec spec;
+  spec.arch = arch;
+  spec.kind = kind;
+  spec.injections = n;
+  spec.seed = seed;
+  if (kind == inject::CampaignKind::kErrno) {
+    std::string bad;
+    spec.errno_model.trigger = errnoinj::ErrnoTrigger::kNth;
+    spec.errno_model.syscalls =
+        *errnoinj::parse_syscall_list("read,write", &bad);
+  }
+  return spec;
+}
+
+std::vector<Case> cases(u32 n) {
+  std::vector<Case> out;
+  for (const auto arch : {isa::Arch::kCisca, isa::Arch::kRiscf}) {
+    for (const u64 seed : {1u, 7u, 77u}) {
+      for (const auto kind :
+           {inject::CampaignKind::kStack, inject::CampaignKind::kRegister,
+            inject::CampaignKind::kData, inject::CampaignKind::kCode,
+            inject::CampaignKind::kErrno}) {
+        out.push_back({campaign_kind_name(kind),
+                       make_spec(arch, kind, n, seed)});
+      }
+      Case bits2{"data-bits2",
+                 make_spec(arch, inject::CampaignKind::kData, n, seed)};
+      bits2.spec.model.shape = inject::FaultShape::kMultiBit;
+      bits2.spec.model.bits = 2;
+      out.push_back(bits2);
+      Case rate{"stack-rate2",
+                make_spec(arch, inject::CampaignKind::kStack, n, seed)};
+      rate.spec.model.trigger = inject::FaultTrigger::kRate;
+      rate.spec.model.rate = 2.0;
+      out.push_back(rate);
+    }
+  }
+  for (const auto arch : {isa::Arch::kCisca, isa::Arch::kRiscf}) {
+    out.push_back({"code-spin",
+                   make_spec(arch, inject::CampaignKind::kCode, 186, 1),
+                   /*expect_spin_skips=*/true});
+  }
+  return out;
+}
 
 }  // namespace
 
 int main() {
-  const u32 n = bench::env_u32("KFI_INJECTIONS", 96);
+  const u32 n = bench::env_u32("KFI_INJECTIONS", 24);
   const u32 jobs = bench::env_jobs();
   bool ok = true;
 
-  // CI guards on this count: adding a bit-exact knob must extend the
-  // variant table (see .github/workflows).
-  std::printf("variants=%zu\n", sizeof(kVariants) / sizeof(kVariants[0]));
+  // CI guards on this count: production and reference, nothing else.
+  std::printf("variants=2\n");
 
-  for (const auto arch : {isa::Arch::kCisca, isa::Arch::kRiscf}) {
-    for (const auto kind :
-         {inject::CampaignKind::kCode, inject::CampaignKind::kData,
-          inject::CampaignKind::kStack, inject::CampaignKind::kRegister}) {
-      auto spec = bench::base_spec(arch, kind, n);
-      // The plan is knob-independent (calibration runs on a default
-      // machine); build it once and only vary the workers' options.
-      const inject::CampaignPlan plan = inject::build_campaign_plan(spec);
-      u64 reference_fp = 0;
-      std::printf("%s %-8s n=%u:", isa::arch_name(arch).c_str(),
-                  campaign_kind_name(kind).c_str(), plan.spec.injections);
-      for (const Variant& v : kVariants) {
-        inject::CampaignPlan variant = plan;
-        variant.spec.machine.decode_cache = v.decode_cache;
-        variant.spec.machine.fast_reboot = v.fast_reboot;
-        variant.spec.machine.superblock = v.superblock;
-        const inject::CampaignResult result =
-            inject::CampaignEngine(jobs).run(variant);
-        const u64 fp = inject::result_fingerprint(result);
-        if (v.decode_cache && v.fast_reboot && v.superblock) reference_fp = fp;
-        const bool same = fp == reference_fp;
-        std::printf(" %s=%s", v.name, same ? "ok" : "DIVERGED");
-        if (!same) {
-          ok = false;
-          std::fprintf(stderr,
-                       "FATAL: %s %s %s diverged (fp %" PRIx64 " vs %" PRIx64
-                       ")\n",
-                       isa::arch_name(arch).c_str(),
-                       campaign_kind_name(kind).c_str(), v.name, fp,
-                       reference_fp);
-        }
-      }
-      std::printf("\n");
+  for (const Case& c : cases(n)) {
+    // The plan does not depend on the configuration (calibration runs on
+    // a default machine); build it once and only flip the workers'.
+    const inject::CampaignPlan plan = inject::build_campaign_plan(c.spec);
+    const inject::CampaignResult production =
+        inject::CampaignEngine(jobs).run(plan);
+    inject::CampaignPlan reference_plan = plan;
+    reference_plan.spec.machine.reference = true;
+    const inject::CampaignResult reference =
+        inject::CampaignEngine(jobs).run(reference_plan);
+    const u64 fp = inject::result_fingerprint(production);
+    const u64 ref_fp = inject::result_fingerprint(reference);
+    const bool same = fp == ref_fp;
+    const bool skipped = production.throughput.spin_skips > 0 &&
+                         reference.throughput.spin_skips == 0;
+    std::printf("%s %-11s seed=%-2" PRIu64 " n=%-3u result fingerprint: "
+                "%016" PRIx64 " reference=%s",
+                isa::arch_name(c.spec.arch).c_str(), c.name.c_str(),
+                c.spec.seed, plan.spec.injections, fp,
+                same ? "ok" : "DIVERGED");
+    if (c.expect_spin_skips) {
+      std::printf(" spin-loop fast-forwards: %" PRIu64 " (reference %" PRIu64
+                  ")",
+                  production.throughput.spin_skips,
+                  reference.throughput.spin_skips);
+    }
+    std::printf("\n");
+    if (!same) {
+      ok = false;
+      std::fprintf(stderr,
+                   "FATAL: %s %s seed %" PRIu64 " diverged (fp %016" PRIx64
+                   " vs reference %016" PRIx64 ")\n",
+                   isa::arch_name(c.spec.arch).c_str(), c.name.c_str(),
+                   c.spec.seed, fp, ref_fp);
+    }
+    if (c.expect_spin_skips && !skipped) {
+      ok = false;
+      std::fprintf(stderr,
+                   "FATAL: %s %s: production took no spin-loop "
+                   "fast-forward (or the reference took one)\n",
+                   isa::arch_name(c.spec.arch).c_str(), c.name.c_str());
     }
   }
   std::printf("%s\n", ok ? "fast paths bit-identical" : "FAST PATHS DIVERGED");

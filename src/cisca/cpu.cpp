@@ -80,28 +80,20 @@ FetchWindow CiscaCpu::fetch_window(Addr pc) const {
   return window;
 }
 
-void CiscaCpu::set_decode_cache_enabled(bool enabled) {
-  dcache_enabled_ = enabled;
-  if (enabled && dcache_.empty()) {
+void CiscaCpu::set_fast_paths(bool enabled) {
+  fast_paths_ = enabled;
+  dcache_.clear();
+  dcache_.shrink_to_fit();
+  sblocks_.clear();
+  sblocks_.shrink_to_fit();
+  if (enabled) {
     dcache_.resize(kDecodeCacheEntries);
-  } else if (!enabled) {
-    dcache_.clear();
-    dcache_.shrink_to_fit();
-  }
-}
-
-void CiscaCpu::set_superblocks_enabled(bool enabled) {
-  sblocks_enabled_ = enabled;
-  if (enabled && sblocks_.empty()) {
     sblocks_.resize(kSuperblockEntries);
-  } else if (!enabled) {
-    sblocks_.clear();
-    sblocks_.shrink_to_fit();
   }
 }
 
 const CiscaCpu::DecodeCacheEntry& CiscaCpu::decode_cached(Addr pc) {
-  if (!dcache_enabled_) {
+  if (!fast_paths_) {
     const FetchWindow window = fetch_window(pc);
     dcache_scratch_.tag = window.phys;
     dcache_scratch_.page2 = window.phys_page2;
@@ -1251,7 +1243,7 @@ bool CiscaCpu::build_block(Superblock& blk, Addr vpc, u32 phys0) {
 isa::StepResult CiscaCpu::step_block(const isa::BlockLimits& limits,
                                      u64* consumed) {
   *consumed = 1;
-  if (!sblocks_enabled_) return step();
+  if (!fast_paths_) return step();
   // Same order as step(): the breakpoint check precedes everything.  The
   // single-step fallbacks below re-check it harmlessly (a non-matching
   // check has no effect, and a matching one already returned here).

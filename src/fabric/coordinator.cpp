@@ -698,6 +698,9 @@ inject::CampaignResult FabricCoordinator::run(const inject::CampaignPlan& plan,
     result.retry_backoff_waits += u.done_frame->backoff_waits;
     result.retry_backoff_seconds += u.done_frame->backoff_seconds;
     result.journal_flushes += u.done_frame->executed;
+    result.throughput.spin_skips += u.done_frame->spin_skips;
+    result.throughput.spin_skipped_cycles +=
+        u.done_frame->spin_skipped_cycles;
   }
   result.throughput.jobs = shards * opt_.jobs;
   result.throughput.plan_seconds = plan.plan_seconds;

@@ -60,7 +60,7 @@ int tcp_connect(const std::string& host, u16 port, double timeout_seconds,
 /// Bumped whenever any fabric wire format changes shape.  A daemon and
 /// client disagreeing on this number refuse each other up front — the
 /// same version-skew stance the spec-blob fingerprint handshake takes.
-constexpr u8 kNetProtocolVersion = 1;
+constexpr u8 kNetProtocolVersion = 2;
 
 enum class MsgType : u8 {
   kSubmit = 1,   // client -> daemon: run one shard of a campaign

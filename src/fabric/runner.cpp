@@ -197,6 +197,8 @@ bool run_shard(const SubmitRequest& req, const Shard& shard,
   f.harness_retries = result.harness_retries;
   f.backoff_waits = result.retry_backoff_waits;
   f.backoff_seconds = result.retry_backoff_seconds;
+  f.spin_skips = result.throughput.spin_skips;
+  f.spin_skipped_cycles = result.throughput.spin_skipped_cycles;
   send(f);
   return !cancel.load();
 }

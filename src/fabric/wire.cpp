@@ -9,7 +9,7 @@ namespace kfi::fabric {
 
 namespace {
 
-constexpr u8 kSpecVersion = 1;
+constexpr u8 kSpecVersion = 2;
 
 using codec::Cursor;
 using codec::put8;
@@ -41,10 +41,7 @@ std::vector<u8> serialize_campaign_spec(const inject::CampaignSpec& spec) {
   put8(out, m.p4_stack_limit_check ? 1 : 0);
   put8(out, m.spinlock_debug ? 1 : 0);
   put64(out, m.seed);
-  put8(out, m.decode_cache ? 1 : 0);
-  put8(out, m.fast_reboot ? 1 : 0);
-  put8(out, m.superblock ? 1 : 0);
-  put8(out, m.cow_memory ? 1 : 0);
+  put8(out, m.reference ? 1 : 0);
   const inject::FaultModel& f = spec.model;
   put8(out, static_cast<u8>(f.shape));
   put8(out, static_cast<u8>(f.trigger));
@@ -86,10 +83,7 @@ std::optional<inject::CampaignSpec> deserialize_campaign_spec(
   m.p4_stack_limit_check = c.get8() != 0;
   m.spinlock_debug = c.get8() != 0;
   m.seed = c.get64();
-  m.decode_cache = c.get8() != 0;
-  m.fast_reboot = c.get8() != 0;
-  m.superblock = c.get8() != 0;
-  m.cow_memory = c.get8() != 0;
+  m.reference = c.get8() != 0;
   inject::FaultModel& f = spec.model;
   const u8 shape = c.get8();
   if (shape > static_cast<u8>(inject::FaultShape::kOpclass)) {
@@ -179,6 +173,8 @@ std::vector<u8> encode_frame(const StatusFrame& frame) {
   put64(payload, frame.harness_retries);
   put64(payload, frame.backoff_waits);
   put_double(payload, frame.backoff_seconds);
+  put64(payload, frame.spin_skips);
+  put64(payload, frame.spin_skipped_cycles);
   put_string(payload, frame.message);
   return codec::frame_payload(kFrameMagic, payload);
 }
@@ -205,6 +201,8 @@ std::optional<StatusFrame> decode_frame_payload(const u8* payload,
   frame.harness_retries = p.get64();
   frame.backoff_waits = p.get64();
   frame.backoff_seconds = p.get_double();
+  frame.spin_skips = p.get64();
+  frame.spin_skipped_cycles = p.get64();
   frame.message = p.get_string();
   if (!p.done()) return std::nullopt;
   return frame;

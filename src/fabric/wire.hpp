@@ -32,8 +32,8 @@
 namespace kfi::fabric {
 
 /// Serialize every plan-relevant field of a CampaignSpec (the same set
-/// plan_fingerprint hashes, plus the bit-exact perf knobs so workers run
-/// the same configuration they would in-process).
+/// plan_fingerprint hashes, plus the bit-exact reference switch so workers
+/// run the same machine configuration they would in-process).
 std::vector<u8> serialize_campaign_spec(const inject::CampaignSpec& spec);
 
 /// Inverse of serialize_campaign_spec.  Returns nullopt on truncated
@@ -84,6 +84,8 @@ struct StatusFrame {
   u64 harness_retries = 0;
   u64 backoff_waits = 0;
   double backoff_seconds = 0.0;
+  u64 spin_skips = 0;           // spin-loop fast-forwards (Machine::run)
+  u64 spin_skipped_cycles = 0;  // cycles they charged
   // kError
   std::string message;
 };

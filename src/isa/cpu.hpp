@@ -131,12 +131,13 @@ class CpuCore {
     return trace::kNoSlot;
   }
 
-  /// Predecoded-instruction cache control.  The cache is bit-exact — it
-  /// only skips re-decoding bytes proven unchanged via page write
-  /// versions — so toggling it must never alter execution, a property the
-  /// campaign fingerprint cross-checks enforce.  Default: no cache.
-  virtual void set_decode_cache_enabled(bool /*enabled*/) {}
-  virtual bool decode_cache_enabled() const { return false; }
+  /// Hot-loop fast paths: the predecoded-instruction cache and superblock
+  /// execution (step_block), both on or both off.  They are bit-exact —
+  /// they only skip re-decoding bytes proven unchanged via page write
+  /// versions — so toggling them must never alter execution, a property
+  /// the campaign fingerprint cross-checks enforce.  Off (the default)
+  /// decodes every instruction straight from memory.
+  virtual void set_fast_paths(bool /*enabled*/) {}
   virtual DecodeCacheStats decode_cache_stats() const { return {}; }
 
   /// Execute a superblock: a cached straight-line run of predecoded
@@ -148,14 +149,13 @@ class CpuCore {
   /// machine-loop iterations the dispatch stands for (executed
   /// instructions, plus one for a trap or breakpoint stop — exactly what
   /// a step() would have charged against a harness step budget).
-  /// Default: superblocks unsupported, single step.
+  /// Single steps while the fast paths are off.  Default: superblocks
+  /// unsupported, single step.
   virtual StepResult step_block(const BlockLimits& /*limits*/,
                                 u64* consumed) {
     *consumed = 1;
     return step();
   }
-  virtual void set_superblocks_enabled(bool /*enabled*/) {}
-  virtual bool superblocks_enabled() const { return false; }
   virtual SuperblockStats superblock_stats() const { return {}; }
 };
 

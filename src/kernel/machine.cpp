@@ -68,24 +68,7 @@ Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image)
       rng_(options.seed) {
   KFI_CHECK(image_ != nullptr, "Machine requires a built kernel image");
   KFI_CHECK(image_->arch == arch, "kernel image built for a different arch");
-  helper_backend_ = arch == isa::Arch::kCisca
-                        ? kir::make_cisca_backend(kTextBase, kDataBase)
-                        : kir::make_riscf_backend(kTextBase, kDataBase);
-  if (arch == isa::Arch::kCisca) {
-    cisca::CiscaCpu::Options copts;
-    copts.stack_limit_check = options.p4_stack_limit_check;
-    auto cpu = std::make_unique<cisca::CiscaCpu>(space_, copts);
-    cisca_cpu_ = cpu.get();
-    cpu_ = std::move(cpu);
-  } else {
-    auto cpu = std::make_unique<riscf::RiscfCpu>(space_);
-    riscf_cpu_ = cpu.get();
-    cpu_ = std::move(cpu);
-  }
-  cpu_->set_decode_cache_enabled(options.decode_cache);
-  cpu_->set_superblocks_enabled(options.superblock);
-  space_.phys().set_cow_enabled(options.cow_memory);
-  entry_map_ = build_entry_map(*image_);
+  init_cpu();
   boot();
 }
 
@@ -99,29 +82,12 @@ Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
       rng_(options.seed) {
   KFI_CHECK(image_ != nullptr, "Machine requires a built kernel image");
   KFI_CHECK(image_->arch == arch, "kernel image built for a different arch");
-  helper_backend_ = arch == isa::Arch::kCisca
-                        ? kir::make_cisca_backend(kTextBase, kDataBase)
-                        : kir::make_riscf_backend(kTextBase, kDataBase);
-  if (arch == isa::Arch::kCisca) {
-    cisca::CiscaCpu::Options copts;
-    copts.stack_limit_check = options.p4_stack_limit_check;
-    auto cpu = std::make_unique<cisca::CiscaCpu>(space_, copts);
-    cisca_cpu_ = cpu.get();
-    cpu_ = std::move(cpu);
-  } else {
-    auto cpu = std::make_unique<riscf::RiscfCpu>(space_);
-    riscf_cpu_ = cpu.get();
-    cpu_ = std::move(cpu);
-  }
-  cpu_->set_decode_cache_enabled(options.decode_cache);
-  cpu_->set_superblocks_enabled(options.superblock);
-  space_.phys().set_cow_enabled(options.cow_memory);
-  entry_map_ = build_entry_map(*image_);
+  init_cpu();
 
   // Boot by adoption: establish the address-space layout and cached
   // symbols, then take ALL memory and CPU state from the donor snapshot.
-  // No image-load writes happen, so with COW on this machine starts with
-  // zero private pages.
+  // No image-load writes happen, so outside the reference configuration
+  // this machine starts with zero private pages.
   map_address_space();
   dispatch_entry_ = image_->function(KernelEntryPoints::kDispatch).addr;
   timer_entry_ = image_->function(KernelEntryPoints::kTimerTick).addr;
@@ -141,6 +107,26 @@ Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
 }
 
 Machine::~Machine() = default;
+
+void Machine::init_cpu() {
+  helper_backend_ = arch_ == isa::Arch::kCisca
+                        ? kir::make_cisca_backend(kTextBase, kDataBase)
+                        : kir::make_riscf_backend(kTextBase, kDataBase);
+  if (arch_ == isa::Arch::kCisca) {
+    cisca::CiscaCpu::Options copts;
+    copts.stack_limit_check = options_.p4_stack_limit_check;
+    auto cpu = std::make_unique<cisca::CiscaCpu>(space_, copts);
+    cisca_cpu_ = cpu.get();
+    cpu_ = std::move(cpu);
+  } else {
+    auto cpu = std::make_unique<riscf::RiscfCpu>(space_);
+    riscf_cpu_ = cpu.get();
+    cpu_ = std::move(cpu);
+  }
+  cpu_->set_fast_paths(!options_.reference);
+  space_.phys().set_cow_enabled(!options_.reference);
+  entry_map_ = build_entry_map(*image_);
+}
 
 void Machine::map_address_space() {
   // --- address space layout ---
@@ -876,7 +862,7 @@ Event Machine::run(u64 stop_cycles) {
     }
 
     isa::StepResult sr;
-    if (options_.superblock && !profiling_) {
+    if (!options_.reference && !profiling_) {
       // A state equal to one saved earlier in this call repeats forever
       // (barring cycle-driven events): skip whole periods, then re-check
       // the stop and the timer at the cycle they were skipped to.
@@ -1068,10 +1054,10 @@ MachineSnapshot Machine::snapshot() {
 }
 
 void Machine::restore(const MachineSnapshot& snap) {
-  if (options_.fast_reboot) {
-    space_.phys().restore(snap.memory);
-  } else {
+  if (options_.reference) {
     space_.phys().restore_full(snap.memory);
+  } else {
+    space_.phys().restore(snap.memory);
   }
   cpu_->restore(snap.cpu);
   next_timer_ = snap.next_timer;

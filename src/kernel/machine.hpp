@@ -102,25 +102,15 @@ struct MachineOptions {
   bool spinlock_debug = true;
   /// Seed for runtime jitter (user time, exception-stage costs).
   u64 seed = 0x1234;
-  /// Predecoded-instruction cache in the CPU model.  Bit-exact: results
-  /// must not change with this off (the fingerprint cross-check enforces
-  /// it); off is only useful for that cross-check and for measuring the
-  /// speedup.
-  bool decode_cache = true;
-  /// Dirty-page snapshot restore.  Also bit-exact; off forces the
-  /// O(memory) full-copy restore the cross-check compares against.
-  bool fast_reboot = true;
-  /// Superblock execution: cache straight-line runs of predecoded
-  /// instructions and dispatch them through per-op handler pointers.
-  /// Bit-exact like the decode cache (the fingerprint cross-check
-  /// enforces it); off is only useful for that cross-check and for
-  /// measuring the speedup.
-  bool superblock = true;
-  /// Copy-on-write page sharing: restores re-point pages at the shared
-  /// snapshot instead of copying, so worker machines rebooting from one
-  /// boot snapshot hold ~1 memory image plus their dirty pages.  Also
-  /// bit-exact; off keeps every page private (the pre-COW behavior).
-  bool cow_memory = true;
+  /// Run the plain reference configuration: single-step decode straight
+  /// from memory (no predecoded-instruction cache, no superblocks, so no
+  /// spin-loop fast-forward), full-copy snapshot restores, and every page
+  /// private.  False (the default) is the production configuration: the
+  /// decode and superblock caches, dirty-page restores and copy-on-write
+  /// page sharing.  The two are bit-exact: results must not change with
+  /// this set (the fingerprint cross-checks enforce it); the reference
+  /// exists only to be compared against and to measure the speedups.
+  bool reference = false;
 };
 
 /// Spin-loop fast-forward counters (see Machine::run).  Observational:
@@ -152,10 +142,10 @@ class Machine {
   /// memory + boot.
   Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image);
   /// Boot by adopting another machine's boot snapshot instead of writing a
-  /// fresh memory image.  With COW on, the worker starts with ZERO private
-  /// pages — every page aliases the donor's shared snapshot buffer — which
-  /// is what makes a 64-worker engine's resident memory sublinear in the
-  /// worker count.  The snapshot must come from a machine built on the
+  /// fresh memory image.  Outside the reference configuration the worker
+  /// starts with ZERO private pages — every page aliases the donor's
+  /// shared snapshot buffer — which is what makes a 64-worker engine's
+  /// resident memory sublinear in the worker count.  The snapshot must come from a machine built on the
   /// same image with the same options.
   Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
           const MachineSnapshot& boot_snap);
@@ -178,12 +168,12 @@ class Machine {
   /// Execute until an event occurs or `stop_cycles` is reached (0 = no
   /// cycle stop).  Breakpoint events leave the machine resumable.
   ///
-  /// With superblocks on, a long run that revisits an identical machine
-  /// state is in a periodic orbit, and run() skips the whole periods left
-  /// before the next cycle-driven event, charging their cycles: the
-  /// result is the cycle-exact state the simulation would have reached
-  /// (DESIGN §10).  Never with a trace sink, profiling, an armed
-  /// breakpoint, or a harness step budget.
+  /// Outside the reference configuration, a long run that revisits an
+  /// identical machine state is in a periodic orbit, and run() skips the
+  /// whole periods left before the next cycle-driven event, charging
+  /// their cycles: the result is the cycle-exact state the simulation
+  /// would have reached (DESIGN §10).  Never with a trace sink,
+  /// profiling, an armed breakpoint, or a harness step budget.
   Event run(u64 stop_cycles = 0);
 
   bool idle() const { return !syscall_active_ && glue_stack_.empty(); }
@@ -281,6 +271,7 @@ class Machine {
     std::vector<u32> moved;     // scratch: pages written since the save
   };
 
+  void init_cpu();
   void boot();
   void map_address_space();
   void write_glue_stubs();

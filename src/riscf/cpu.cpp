@@ -231,29 +231,21 @@ Insn RiscfCpu::decode_at(Addr pc) const {
   return decode(space_.phys().read32(tr.phys, mem::Endian::kBig));
 }
 
-void RiscfCpu::set_decode_cache_enabled(bool enabled) {
-  dcache_enabled_ = enabled;
-  if (enabled && dcache_.empty()) {
+void RiscfCpu::set_fast_paths(bool enabled) {
+  fast_paths_ = enabled;
+  dcache_.clear();
+  dcache_.shrink_to_fit();
+  sblocks_.clear();
+  sblocks_.shrink_to_fit();
+  if (enabled) {
     dcache_.resize(kDecodeCacheEntries);
-  } else if (!enabled) {
-    dcache_.clear();
-    dcache_.shrink_to_fit();
-  }
-}
-
-void RiscfCpu::set_superblocks_enabled(bool enabled) {
-  sblocks_enabled_ = enabled;
-  if (enabled && sblocks_.empty()) {
     sblocks_.resize(kSuperblockEntries);
-  } else if (!enabled) {
-    sblocks_.clear();
-    sblocks_.shrink_to_fit();
   }
 }
 
 const Insn& RiscfCpu::decode_cached(u32 phys) {
   const mem::PhysicalMemory& pm = space_.phys();
-  if (!dcache_enabled_) {
+  if (!fast_paths_) {
     dcache_scratch_ = decode(pm.read32(phys, mem::Endian::kBig));
     return dcache_scratch_;
   }
@@ -1018,7 +1010,7 @@ bool RiscfCpu::build_block(Superblock& blk, Addr vpc, u32 phys0) {
 isa::StepResult RiscfCpu::step_block(const isa::BlockLimits& limits,
                                      u64* consumed) {
   *consumed = 1;
-  if (!sblocks_enabled_) return step();
+  if (!fast_paths_) return step();
   // Same order as step(): the breakpoint check precedes everything.  The
   // single-step fallbacks below re-check it harmlessly (a non-matching
   // check has no effect, and a matching one already returned here).

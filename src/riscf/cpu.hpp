@@ -50,15 +50,12 @@ class RiscfCpu final : public isa::CpuCore {
   void restore(const isa::CpuSnapshot& snap) override;
   bool registers_equal(const isa::CpuSnapshot& snap) const override;
   u64 cycle_reads() const override { return cycle_reads_; }
-  void set_decode_cache_enabled(bool enabled) override;
-  bool decode_cache_enabled() const override { return dcache_enabled_; }
+  void set_fast_paths(bool enabled) override;
   isa::DecodeCacheStats decode_cache_stats() const override {
     return dcache_stats_;
   }
   isa::StepResult step_block(const isa::BlockLimits& limits,
                              u64* consumed) override;
-  void set_superblocks_enabled(bool enabled) override;
-  bool superblocks_enabled() const override { return sblocks_enabled_; }
   isa::SuperblockStats superblock_stats() const override { return sb_stats_; }
   void set_trace_sink(trace::TraceSink* sink) override { sink_ = sink; }
   trace::RegSlot sysreg_slot(u32 index) const override;
@@ -180,12 +177,11 @@ class RiscfCpu final : public isa::CpuCore {
   isa::StepResult* current_result_ = nullptr;
   trace::TraceSink* sink_ = nullptr;
   std::map<u32, u32> spr_storage_;  // inert supervisor SPRs (BATs, PMCs, ...)
-  bool dcache_enabled_ = false;
-  std::vector<DecodeCacheEntry> dcache_;  // allocated when enabled
+  bool fast_paths_ = false;
+  std::vector<DecodeCacheEntry> dcache_;  // allocated with the fast paths
   Insn dcache_scratch_{};                 // cache-off path
   isa::DecodeCacheStats dcache_stats_;
-  bool sblocks_enabled_ = false;
-  std::vector<Superblock> sblocks_;  // allocated when enabled
+  std::vector<Superblock> sblocks_;  // allocated with the fast paths
   isa::SuperblockStats sb_stats_;
   std::unique_ptr<RiscfSysRegs> sysregs_;
 };

@@ -22,10 +22,10 @@ struct Rig {
   mem::AddressSpace space{256 * 1024, mem::Endian::kLittle};
   CiscaCpu cpu{space};
 
-  explicit Rig(bool cache) {
+  explicit Rig(bool fast_paths) {
     space.map_region("code", kCode, 4096,
                      {.read = true, .write = true, .execute = true});
-    cpu.set_decode_cache_enabled(cache);
+    cpu.set_fast_paths(fast_paths);
   }
 
   void load(const std::vector<u8>& bytes) {
@@ -109,9 +109,16 @@ TEST(CiscaDecodeCacheTest, UnmodifiedCodeHitsOnReExecution) {
 }
 
 TEST(CiscaDecodeCacheTest, CacheToggleReportsState) {
+  // The cache counts only while the fast paths are on: the cold CPU
+  // decodes every instruction straight from memory and reports nothing.
   Rig warm(true), cold(false);
-  EXPECT_TRUE(warm.cpu.decode_cache_enabled());
-  EXPECT_FALSE(cold.cpu.decode_cache_enabled());
+  for (Rig* rig : {&warm, &cold}) {
+    rig->load(immediate_load_program());
+    rig->run();
+  }
+  EXPECT_GT(warm.cpu.decode_cache_stats().misses, 0u);
+  EXPECT_EQ(cold.cpu.decode_cache_stats().misses, 0u);
+  EXPECT_EQ(cold.cpu.decode_cache_stats().hits, 0u);
 }
 
 }  // namespace

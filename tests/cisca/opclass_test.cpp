@@ -85,7 +85,7 @@ TEST(CiscaOpClassTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
   constexpr Addr kCode = 0x10000;
   mem::AddressSpace space{64 * 1024, mem::Endian::kLittle};
   CiscaCpu cpu{space};
-  cpu.set_decode_cache_enabled(true);
+  cpu.set_fast_paths(true);
   space.map_region("code", kCode, 4096,
                    {.read = true, .write = true, .execute = true});
   const u8 program[] = {0xB8, 0x01, 0x00, 0x00, 0x00,  // mov eax, 1

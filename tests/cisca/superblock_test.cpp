@@ -4,7 +4,7 @@
 // cycle charges, same trap ordering — and a write into a cached block's
 // page (an injected flip or the program's own store) must invalidate the
 // block so the corrupted bytes re-decode.  Results are compared against a
-// superblock-disabled CPU running the identical program.
+// CPU with its fast paths off running the identical program.
 #include <gtest/gtest.h>
 
 #include "cisca/cpu.hpp"
@@ -20,10 +20,10 @@ struct Rig {
   mem::AddressSpace space{256 * 1024, mem::Endian::kLittle};
   CiscaCpu cpu{space};
 
-  explicit Rig(bool superblocks) {
+  explicit Rig(bool fast_paths) {
     space.map_region("code", kCode, 4096,
                      {.read = true, .write = true, .execute = true});
-    cpu.set_superblocks_enabled(superblocks);
+    cpu.set_fast_paths(fast_paths);
   }
 
   void load(const std::vector<u8>& bytes) {
@@ -117,7 +117,7 @@ TEST(CiscaSuperblockTest, UnmodifiedCodeHitsOnRedispatch) {
 
 TEST(CiscaSuperblockTest, BlockDispatchMatchesSingleSteppingInLockstep) {
   // Strongest equivalence check: after every block dispatch consuming k
-  // iterations, k single steps on a superblock-free CPU must land in the
+  // iterations, k single steps on a fast-path-free CPU must land in the
   // bit-identical register state at the same cycle count.
   Asm a(kCode);
   const auto start = a.new_label();

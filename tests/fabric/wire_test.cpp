@@ -24,10 +24,7 @@ inject::CampaignSpec full_spec() {
   spec.machine.p4_stack_limit_check = true;
   spec.machine.spinlock_debug = false;
   spec.machine.seed = 99;
-  spec.machine.decode_cache = false;
-  spec.machine.fast_reboot = false;
-  spec.machine.superblock = true;
-  spec.machine.cow_memory = false;
+  spec.machine.reference = true;
   spec.model.shape = inject::FaultShape::kOpclass;
   spec.model.trigger = inject::FaultTrigger::kRate;
   spec.model.bits = 2;
@@ -55,10 +52,7 @@ TEST(SpecBlob, RoundTripPreservesEveryField) {
             spec.machine.p4_stack_limit_check);
   EXPECT_EQ(back->machine.spinlock_debug, spec.machine.spinlock_debug);
   EXPECT_EQ(back->machine.seed, spec.machine.seed);
-  EXPECT_EQ(back->machine.decode_cache, spec.machine.decode_cache);
-  EXPECT_EQ(back->machine.fast_reboot, spec.machine.fast_reboot);
-  EXPECT_EQ(back->machine.superblock, spec.machine.superblock);
-  EXPECT_EQ(back->machine.cow_memory, spec.machine.cow_memory);
+  EXPECT_EQ(back->machine.reference, spec.machine.reference);
   EXPECT_EQ(back->model.shape, spec.model.shape);
   EXPECT_EQ(back->model.trigger, spec.model.trigger);
   EXPECT_EQ(back->model.bits, spec.model.bits);
@@ -131,6 +125,8 @@ StatusFrame full_frame() {
   f.harness_retries = 3;
   f.backoff_waits = 4;
   f.backoff_seconds = 0.125;
+  f.spin_skips = 2;
+  f.spin_skipped_cycles = 0x123456789ull;
   f.message = "shard complete";
   return f;
 }
@@ -149,6 +145,8 @@ void expect_frames_equal(const StatusFrame& a, const StatusFrame& b) {
   EXPECT_EQ(a.harness_retries, b.harness_retries);
   EXPECT_EQ(a.backoff_waits, b.backoff_waits);
   EXPECT_EQ(a.backoff_seconds, b.backoff_seconds);
+  EXPECT_EQ(a.spin_skips, b.spin_skips);
+  EXPECT_EQ(a.spin_skipped_cycles, b.spin_skipped_cycles);
   EXPECT_EQ(a.message, b.message);
 }
 

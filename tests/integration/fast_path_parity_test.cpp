@@ -1,9 +1,10 @@
 // The perf fast paths' bit-exactness contract: the predecoded-instruction
-// cache, the dirty-page reboot, superblock execution, and copy-on-write
-// page sharing are pure speedups.  For every arch and campaign kind, a
-// campaign run with any of them disabled must produce a bit-identical
-// result — same records, same merged counters — as the default
-// configuration, at any worker count, with tracing on or off.
+// cache, superblock execution (with its spin-loop fast-forward), the
+// dirty-page reboot, and copy-on-write page sharing are pure speedups.
+// For every arch and campaign kind, a campaign run in the plain reference
+// configuration (all of them off) must produce a bit-identical result —
+// same records, same merged counters — as the production configuration,
+// at any worker count, with tracing on or off.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -24,17 +25,12 @@ CampaignSpec fastpath_spec(isa::Arch arch, CampaignKind kind) {
   return spec;
 }
 
-/// A plan copy with the machine fast-path knobs overridden.  Workers build
-/// their Machines from plan.spec.machine, so this flips the config without
+/// A plan copy in the given machine configuration.  Workers build their
+/// Machines from plan.spec.machine, so this flips the config without
 /// replanning — the injection targets stay literally identical.
-CampaignPlan with_knobs(const CampaignPlan& plan, bool decode_cache,
-                        bool fast_reboot, bool superblock = true,
-                        bool cow_memory = true) {
+CampaignPlan with_reference(const CampaignPlan& plan, bool reference) {
   CampaignPlan variant = plan;
-  variant.spec.machine.decode_cache = decode_cache;
-  variant.spec.machine.fast_reboot = fast_reboot;
-  variant.spec.machine.superblock = superblock;
-  variant.spec.machine.cow_memory = cow_memory;
+  variant.spec.machine.reference = reference;
   return variant;
 }
 
@@ -48,34 +44,22 @@ TEST_P(FastPathParityTest, FastPathsAreBitExact) {
   const CampaignResult baseline = CampaignEngine(2).run(plan);
   const u64 want = result_fingerprint(baseline);
 
-  struct Variant {
-    const char* name;
-    bool decode_cache, fast_reboot, superblock, cow_memory;
-  };
-  const Variant variants[] = {
-      {"no_decode_cache", false, true, true, true},
-      {"full_copy_reboot", true, false, true, true},
-      {"no_superblock", true, true, false, true},
-      {"no_cow", true, true, true, false},
-      {"no_fast_paths_at_all", false, false, false, false},
-  };
-  for (const Variant& v : variants) {
-    SCOPED_TRACE(v.name);
-    const CampaignResult got = CampaignEngine(2).run(with_knobs(
-        plan, v.decode_cache, v.fast_reboot, v.superblock, v.cow_memory));
-    ASSERT_EQ(got.records.size(), baseline.records.size());
-    EXPECT_EQ(result_fingerprint(got), want);
-    // The fingerprint covers these, but compare a few directly so a
-    // divergence points at the field, not just at a hash mismatch.
-    EXPECT_EQ(got.reboots, baseline.reboots);
-    EXPECT_EQ(got.nominal_cycles, baseline.nominal_cycles);
-    for (size_t i = 0; i < got.records.size(); ++i) {
-      EXPECT_EQ(got.records[i].outcome, baseline.records[i].outcome)
-          << "record " << i;
-      EXPECT_EQ(got.records[i].cycles_to_crash,
-                baseline.records[i].cycles_to_crash)
-          << "record " << i;
-    }
+  const CampaignResult got =
+      CampaignEngine(2).run(with_reference(plan, true));
+  ASSERT_EQ(got.records.size(), baseline.records.size());
+  EXPECT_EQ(result_fingerprint(got), want);
+  // The fingerprint covers these, but compare a few directly so a
+  // divergence points at the field, not just at a hash mismatch.
+  EXPECT_EQ(got.reboots, baseline.reboots);
+  EXPECT_EQ(got.nominal_cycles, baseline.nominal_cycles);
+  EXPECT_EQ(got.throughput.simulated_cycles,
+            baseline.throughput.simulated_cycles);
+  for (size_t i = 0; i < got.records.size(); ++i) {
+    EXPECT_EQ(got.records[i].outcome, baseline.records[i].outcome)
+        << "record " << i;
+    EXPECT_EQ(got.records[i].cycles_to_crash,
+              baseline.records[i].cycles_to_crash)
+        << "record " << i;
   }
 }
 
@@ -93,10 +77,10 @@ INSTANTIATE_TEST_SUITE_P(
              campaign_kind_name(std::get<1>(info.param));
     });
 
-// The PR-8 acceptance matrix: superblock {on,off} x COW {on,off} x jobs
-// {1,4} x trace {on,off} must all merge to one fingerprint, per arch.
-// (The code campaign is the stressful one for superblocks: the injector
-// corrupts exactly the bytes the block cache holds.)
+// The configuration matrix: reference {on,off} x jobs {1,4} x trace
+// {on,off} must all merge to one fingerprint, per arch.  (The code
+// campaign is the stressful one for the fast paths: the injector corrupts
+// exactly the bytes the decode and block caches hold.)
 class SuperblockCowMatrixTest : public ::testing::TestWithParam<isa::Arch> {};
 
 TEST_P(SuperblockCowMatrixTest, AllKnobCombinationsMergeIdentically) {
@@ -105,20 +89,17 @@ TEST_P(SuperblockCowMatrixTest, AllKnobCombinationsMergeIdentically) {
       build_campaign_plan(fastpath_spec(arch, CampaignKind::kCode));
   const u64 want = result_fingerprint(CampaignEngine(1).run(plan));
 
-  for (const bool superblock : {true, false}) {
-    for (const bool cow : {true, false}) {
-      for (const u32 jobs : {1u, 4u}) {
-        for (const bool trace : {false, true}) {
-          SCOPED_TRACE("superblock=" + std::to_string(superblock) +
-                       " cow=" + std::to_string(cow) +
-                       " jobs=" + std::to_string(jobs) +
-                       " trace=" + std::to_string(trace));
-          RunControl ctl;
-          ctl.trace = trace;
-          const CampaignResult got = CampaignEngine(jobs).run(
-              with_knobs(plan, true, true, superblock, cow), {}, ctl);
-          EXPECT_EQ(result_fingerprint(got), want);
-        }
+  for (const bool reference : {false, true}) {
+    for (const u32 jobs : {1u, 4u}) {
+      for (const bool trace : {false, true}) {
+        SCOPED_TRACE("reference=" + std::to_string(reference) +
+                     " jobs=" + std::to_string(jobs) +
+                     " trace=" + std::to_string(trace));
+        RunControl ctl;
+        ctl.trace = trace;
+        const CampaignResult got = CampaignEngine(jobs).run(
+            with_reference(plan, reference), {}, ctl);
+        EXPECT_EQ(result_fingerprint(got), want);
       }
     }
   }

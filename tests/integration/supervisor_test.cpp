@@ -115,20 +115,20 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(SupervisorTest, ResumeSurvivesPerfKnobChanges) {
-  // A journal written by a superblock-free campaign resumed under the
-  // default (superblock + COW) configuration — and vice versa — must
-  // still merge bit-identically: journaled records are data, and the
-  // remaining injections are knob-independent by the parity contract.
-  for (const bool first_run_superblock : {false, true}) {
-    SCOPED_TRACE(first_run_superblock ? "sb_then_plain" : "plain_then_sb");
+  // A journal written by a reference-configuration campaign resumed under
+  // the production configuration — and vice versa — must still merge
+  // bit-identically: journaled records are data, and the remaining
+  // injections are configuration-independent by the parity contract.
+  for (const bool first_run_reference : {true, false}) {
+    SCOPED_TRACE(first_run_reference ? "reference_then_production"
+                                     : "production_then_reference");
     CampaignSpec spec = small_spec(isa::Arch::kRiscf);
-    spec.machine.superblock = first_run_superblock;
-    spec.machine.cow_memory = first_run_superblock;
+    spec.machine.reference = first_run_reference;
     const CampaignPlan plan = build_campaign_plan(spec);
     const u64 want = result_fingerprint(CampaignEngine(1).run(plan));
 
     const std::string path = tmp_journal(
-        "knobchange_" + std::to_string(first_run_superblock) + ".kfij");
+        "knobchange_" + std::to_string(first_run_reference) + ".kfij");
     std::filesystem::remove(path);
     {
       InjectionJournal journal = InjectionJournal::create(path, plan);
@@ -144,8 +144,7 @@ TEST(SupervisorTest, ResumeSurvivesPerfKnobChanges) {
           ctl);
     }
     CampaignPlan flipped = plan;
-    flipped.spec.machine.superblock = !first_run_superblock;
-    flipped.spec.machine.cow_memory = !first_run_superblock;
+    flipped.spec.machine.reference = !first_run_reference;
     InjectionJournal journal = InjectionJournal::resume(path, flipped);
     RunControl ctl;
     ctl.journal = &journal;

@@ -86,9 +86,7 @@ TEST_P(CowSuperblockMachineTest, DepositIntoCachedKernelCodeReDecodes) {
   const isa::Arch arch = GetParam();
   MachineOptions fast_opts;  // decode cache, superblocks, COW: all on
   MachineOptions slow_opts;
-  slow_opts.decode_cache = false;
-  slow_opts.superblock = false;
-  slow_opts.cow_memory = false;
+  slow_opts.reference = true;
   Machine fast(arch, fast_opts);
   Machine slow(arch, slow_opts);
 

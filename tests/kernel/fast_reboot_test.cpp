@@ -25,9 +25,8 @@ void dirty_machine(Machine& machine) {
 TEST_P(FastRebootTest, FastRestoreIsByteIdenticalToFullCopy) {
   const isa::Arch arch = GetParam();
   MachineOptions fast_opts;
-  fast_opts.fast_reboot = true;
   MachineOptions full_opts;
-  full_opts.fast_reboot = false;
+  full_opts.reference = true;
   Machine fast(arch, fast_opts);
   Machine full(arch, full_opts);
 

@@ -2,10 +2,10 @@
 // identical machine state skips the whole periods left before the next
 // cycle-driven event, charging their cycles.  The skip must be invisible:
 // each hand-built loop below replaces the syscall dispatcher, runs on a
-// superblock machine (which may skip) and on the plain reference machine
-// (superblock=false, which never does), and both must end in the same
-// event, cycle count, registers and memory.  The campaign tests run known
-// spin-hang code injections both ways and compare the records.
+// production machine (which may skip) and on the plain reference machine
+// (MachineOptions::reference, which never does), and both must end in the
+// same event, cycle count, registers and memory.  The campaign tests run
+// known spin-hang code injections both ways and compare the records.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -43,10 +43,10 @@ struct LoopRun {
 /// Boot, overwrite the syscall dispatcher with the loop, enter it through
 /// a getpid call (with the interrupt flag as asked) and run until
 /// `budget` cycles pass or an earlier event.
-LoopRun run_loop(isa::Arch arch, bool superblock, const Build& build,
+LoopRun run_loop(isa::Arch arch, bool reference, const Build& build,
                  bool interrupts, u64 budget, const Patch& patch) {
   MachineOptions opts;
-  opts.superblock = superblock;
+  opts.reference = reference;
   LoopRun run;
   run.machine = std::make_unique<Machine>(arch, opts);
   Machine& m = *run.machine;
@@ -68,12 +68,12 @@ LoopRun run_loop(isa::Arch arch, bool superblock, const Build& build,
 }
 
 /// Run the loop both ways and require identical end states.  Returns the
-/// superblock machine's fast-forward count.
+/// production machine's fast-forward count.
 u64 expect_reference_end(isa::Arch arch, const Build& build,
                          bool interrupts, u64 budget = kBudget,
                          const Patch& patch = {}) {
-  const LoopRun fast = run_loop(arch, true, build, interrupts, budget, patch);
-  const LoopRun ref = run_loop(arch, false, build, interrupts, budget, patch);
+  const LoopRun fast = run_loop(arch, false, build, interrupts, budget, patch);
+  const LoopRun ref = run_loop(arch, true, build, interrupts, budget, patch);
   EXPECT_EQ(fast.event.kind, ref.event.kind);
   EXPECT_EQ(fast.event.kind, EventKind::kCycleStop);
   EXPECT_EQ(fast.machine->cpu().cycles(), ref.machine->cpu().cycles());
@@ -290,7 +290,7 @@ TEST_P(SpinHangCampaignTest, SkippedHangMatchesTheReferenceRecord) {
   const inject::CampaignResult fast =
       inject::CampaignEngine(1).run(plan, {}, control);
   inject::CampaignPlan reference_plan = plan;
-  reference_plan.spec.machine.superblock = false;
+  reference_plan.spec.machine.reference = true;
   const inject::CampaignResult ref =
       inject::CampaignEngine(1).run(reference_plan, {}, control);
 

@@ -18,10 +18,10 @@ struct Rig {
   mem::AddressSpace space{256 * 1024, mem::Endian::kBig};
   RiscfCpu cpu{space};
 
-  explicit Rig(bool cache) {
+  explicit Rig(bool fast_paths) {
     space.map_region("code", kCode, 4096,
                      {.read = true, .write = true, .execute = true});
-    cpu.set_decode_cache_enabled(cache);
+    cpu.set_fast_paths(fast_paths);
   }
 
   void load(const std::vector<u8>& bytes) {

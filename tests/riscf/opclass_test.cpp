@@ -64,7 +64,7 @@ TEST(RiscfOpClassTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
   constexpr Addr kCode = 0x10000;
   mem::AddressSpace space{64 * 1024, mem::Endian::kBig};
   RiscfCpu cpu{space};
-  cpu.set_decode_cache_enabled(true);
+  cpu.set_fast_paths(true);
   space.map_region("code", kCode, 4096,
                    {.read = true, .write = true, .execute = true});
   const u32 addi = 0x38600001;

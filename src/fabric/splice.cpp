@@ -138,15 +138,14 @@ SpliceStats splice_journal_files(const std::vector<std::string>& paths,
       first = data;
       chosen.resize(data.total);
     } else {
-      if (data.version != first->version ||
-          data.plan_fingerprint != first->plan_fingerprint ||
+      if (data.plan_fingerprint != first->plan_fingerprint ||
           data.fault_model_fingerprint != first->fault_model_fingerprint ||
           data.errno_model_fingerprint != first->errno_model_fingerprint ||
           data.total != first->total) {
         throw inject::JournalError(
             "shard journal " + path +
-            " does not match the first shard's header (version or "
-            "fingerprint mismatch): the shard set mixes campaigns");
+            " does not match the first shard's header (fingerprint "
+            "mismatch): the shard set mixes campaigns");
       }
     }
     ++stats.files;
@@ -168,8 +167,7 @@ SpliceStats splice_journal_files(const std::vector<std::string>& paths,
     }
     ++stats.chosen;
     if (is_quarantined(*chosen[i])) ++stats.quarantined;
-    const std::vector<u8> frame =
-        inject::encode_journal_frame(*chosen[i], first->version);
+    const std::vector<u8> frame = inject::encode_journal_frame(*chosen[i]);
     out.write(reinterpret_cast<const char*>(frame.data()),
               static_cast<long>(frame.size()));
   }

@@ -172,156 +172,292 @@ bool ExperimentRunner::apply_rate_site(const InjectionTarget& target,
   return false;
 }
 
-InjectionRecord ExperimentRunner::run_errno(const InjectionTarget& target,
-                                            u64 run_seed, u32 sequence) {
-  KFI_CHECK(errno_injector_ != nullptr,
-            "errno campaign run without an attached ErrnoInjector");
+/// One experiment's state, shared by run_one's event loop and the
+/// per-kind hooks.
+struct ExperimentRunner::Run {
+  explicit Run(const InjectionTarget& t) : target(t) { record.target = t; }
+
+  const InjectionTarget& target;
   InjectionRecord record;
-  record.target = target;
-
-  reboot();  // fresh boot state for every experiment
-  wl_.reset(run_seed);
-  rng_ = Rng(run_seed ^ 0xC0117E47u);  // parity with the physical path
-  channel_.begin_run(run_seed);
-  if (taint_ != nullptr) taint_->reset();
-
-  // The frozen per-run schedule: one ScheduledError per site (the plan
-  // stored the invocation index in site.task and the forced return in
-  // site.bit; see FaultSite's kErrno field overloads).
-  std::vector<errnoinj::ScheduledError> schedule;
-  schedule.reserve(target.sites.size());
-  for (const FaultSite& s : target.sites) {
-    errnoinj::ScheduledError e;
-    e.index = s.task;
-    e.ret = s.bit;
-    schedule.push_back(e);
-  }
-  errno_injector_->arm(std::move(schedule));
-
-  isa::CpuCore& cpu = machine_.cpu();
-  const u64 start = cpu.cycles();
-  const u64 budget_end = start + budget_cycles_;
-
-  errnoinj::CascadeTracker tracker;
+  bool errno_run = false;
+  bool rate_mode = false;
+  u64 start = 0;
+  u64 budget_end = 0;
   bool fsv = false;
   bool hang = false;
   bool completed = false;
+  // Whether the latency baseline has been fixed (cycle 0 is a legitimate
+  // baseline for data errors injected at run start).
   bool latency_base_set = false;
+
+  // Physical kinds.  Deferred single-shot stack/register injection:
+  bool pending_deferred = false;
+  u64 inject_at = 0;
+  // Section 3.3 monitor: the data breakpoint over the corrupted word.
+  bool monitoring = false;
+  Addr watched_word = 0;
+  std::vector<u32> watched_bits;
+  // Rate trigger: the next site of the pre-drawn schedule not yet due.
+  size_t next_site = 0;
+  bool rate_applied_any = false;
+
+  // Errno.
+  errnoinj::CascadeTracker tracker;
   u32 ops_completed = 0;
   size_t forces_seen = 0;
+  bool forced_any = false;
+};
 
-  while (!record.crashed && !hang) {
-    auto req = wl_.next(machine_);
-    if (!req) {
-      completed = true;
-      break;
+u64 ExperimentRunner::site_cycle(const Run& run, const FaultSite& site) const {
+  return run.start +
+         static_cast<u64>(site.at_frac * static_cast<double>(nominal_));
+}
+
+namespace {
+
+std::vector<u32> site_bits(const InjectionTarget& target) {
+  std::vector<u32> bits;
+  bits.reserve(target.sites.size());
+  for (const FaultSite& s : target.sites) bits.push_back(s.bit);
+  return bits;
+}
+
+}  // namespace
+
+void ExperimentRunner::arm(Run& run) {
+  const InjectionTarget& target = run.target;
+  InjectionRecord& record = run.record;
+  isa::CpuCore& cpu = machine_.cpu();
+  if (run.errno_run) {
+    // No breakpoints, no corruption: arm the injector with the frozen
+    // per-run schedule, one ScheduledError per site (the plan stored the
+    // invocation index in site.task and the forced return in site.bit;
+    // see FaultSite's kErrno field overloads).
+    KFI_CHECK(errno_injector_ != nullptr,
+              "errno campaign run without an attached ErrnoInjector");
+    std::vector<errnoinj::ScheduledError> schedule;
+    schedule.reserve(target.sites.size());
+    for (const FaultSite& s : target.sites) {
+      errnoinj::ScheduledError e;
+      e.index = s.task;
+      e.ret = s.bit;
+      schedule.push_back(e);
     }
-    machine_.begin_syscall(req->nr, req->a0, req->a1, req->a2);
-    record.syscalls_completed += 1;
+    errno_injector_->arm(std::move(schedule));
+    return;
+  }
+  if (run.rate_mode || target.kind == CampaignKind::kRegister) {
+    // No monitor can observe a use of the corrupted state (registers,
+    // paper footnote 1) — and rate-mode flips are likewise unmonitored.
+    record.activation_known = false;
+  }
+  // Rate trigger: the plan pre-drew a Poisson event schedule into the
+  // site list (sorted by at_frac); no Section 3.3 monitor is armed, and
+  // each site fires when the machine reaches its cycle.
+  if (run.rate_mode) return;
+  switch (target.kind) {
+    case CampaignKind::kCode:
+      // Breakpoint at the selected function's entry; the flips are
+      // applied to the chosen instruction when the function is first
+      // reached.
+      cpu.debug().arm_insn_bp(target.code_entry != 0 ? target.code_entry
+                                                     : target.site().addr);
+      break;
+    case CampaignKind::kData:
+      // Every site of a multi-bit/burst shape lands in the same word.
+      run.watched_word = target.site().addr;
+      run.watched_bits = site_bits(target);
+      flip_value_bits(run.watched_word, run.watched_bits);
+      // Data-error latency runs from injection: latent errors can sit
+      // unconsumed for a long time (the paper's long-tail discussion).
+      record.activation_cycle = cpu.cycles();
+      record.latency_base_cycle = cpu.cycles();
+      run.latency_base_set = true;
+      cpu.debug().arm_data_bp(0, run.watched_word, 4, /*on_read=*/true,
+                              /*on_write=*/true);
+      run.monitoring = true;
+      break;
+    case CampaignKind::kStack:
+    case CampaignKind::kRegister:
+      run.pending_deferred = true;
+      run.inject_at = run.start + static_cast<u64>(target.inject_at_frac *
+                                                   static_cast<double>(nominal_));
+      break;
+    case CampaignKind::kErrno:
+      break;
+  }
+}
 
-    bool syscall_done = false;
-    while (!syscall_done && !record.crashed && !hang) {
-      const Event ev = machine_.run(budget_end);
-      switch (ev.kind) {
-        case EventKind::kCycleStop:
-          hang = true;
-          break;
-        case EventKind::kSyscallDone: {
-          syscall_done = true;
-          const bool ok = wl_.check(machine_, ev.ret);
-          if (!ok) fsv = true;
-          // Forces are delivered exactly at syscall completion, so the
-          // delta in the injector's log is this op's force count.
-          const u32 newly = static_cast<u32>(
-              errno_injector_->forced().size() - forces_seen);
-          forces_seen = errno_injector_->forced().size();
-          if (newly > 0 && !record.activated) {
-            // Activation == the first forced return was delivered; the
-            // latency baseline runs from there (cf. code/stack errors).
-            record.activated = true;
-            record.activation_cycle = cpu.cycles();
-            record.latency_base_cycle = cpu.cycles();
-            latency_base_set = true;
-          }
-          tracker.record_op(ops_completed, newly, ok);
-          ++ops_completed;
-          break;
+u64 ExperimentRunner::next_stop(const Run& run) const {
+  u64 stop = run.budget_end;
+  if (run.pending_deferred) stop = std::min(stop, run.inject_at);
+  if (run.rate_mode && run.next_site < run.target.sites.size()) {
+    stop = std::min(stop, site_cycle(run, run.target.sites[run.next_site]));
+  }
+  return stop;
+}
+
+bool ExperimentRunner::on_cycle_stop(Run& run) {
+  const InjectionTarget& target = run.target;
+  InjectionRecord& record = run.record;
+  isa::CpuCore& cpu = machine_.cpu();
+  if (run.pending_deferred && cpu.cycles() >= run.inject_at) {
+    run.pending_deferred = false;
+    if (target.kind == CampaignKind::kRegister) {
+      isa::SystemRegisterBank& bank = cpu.sysregs();
+      const u32 index = target.site().reg_index % bank.count();
+      record.target.reg_name = bank.info(index).name;
+      if (inject_register(target)) {
+        record.activation_cycle = cpu.cycles();
+        // Register latency runs from injection (paper footnote 5).
+        record.latency_base_cycle = cpu.cycles();
+        run.latency_base_set = true;
+        if (taint_ != nullptr) {
+          // Seed the register's shadow slot.  The bank write above is
+          // injector traffic, not program traffic, so it does not pass
+          // through the CPU's trace hooks; seeding here is what makes the
+          // flip visible to the engine.
+          taint_->seed_register(cpu.sysreg_slot(index));
         }
-        case EventKind::kCrash: {
-          record.crashed = true;
-          record.crash = ev.crash;
-          if (!latency_base_set) {
-            record.latency_base_cycle =
-                record.activation_cycle != 0 ? record.activation_cycle : start;
-          }
-          record.cycles_to_crash =
-              ev.crash.cycles_to_crash - record.latency_base_cycle;
-          break;
-        }
-        case EventKind::kCheckstop:
-          hang = true;
-          break;
-        case EventKind::kInsnBp:
-        case EventKind::kDataBp:
-          KFI_CHECK(false, "stray breakpoint in an errno run");
-          break;
-        case EventKind::kIdle:
-          KFI_CHECK(false, "machine idle mid-syscall");
-          break;
+      }
+    } else {  // stack
+      run.watched_word = resolve_stack_addr(target.site());
+      run.watched_bits = site_bits(target);
+      if (run.watched_word != 0) {
+        flip_value_bits(run.watched_word, run.watched_bits);
+        record.activation_cycle = cpu.cycles();
+        cpu.debug().arm_data_bp(0, run.watched_word, 4, true, true);
+        run.monitoring = true;
       }
     }
+    return true;
   }
+  if (run.rate_mode && run.next_site < target.sites.size() &&
+      cpu.cycles() >= site_cycle(run, target.sites[run.next_site])) {
+    while (run.next_site < target.sites.size() &&
+           cpu.cycles() >= site_cycle(run, target.sites[run.next_site])) {
+      const FaultSite& s = target.sites[run.next_site++];
+      if (apply_rate_site(target, s, record)) {
+        run.rate_applied_any = true;
+        if (!run.latency_base_set) {
+          record.activation_cycle = cpu.cycles();
+          record.latency_base_cycle = cpu.cycles();
+          run.latency_base_set = true;
+        }
+      }
+    }
+    return true;
+  }
+  return false;  // the budget ran out: a hang
+}
 
-  const std::vector<errnoinj::ForcedError> forced = errno_injector_->forced();
-  errno_injector_->disarm();
+void ExperimentRunner::on_breakpoint(Run& run, const Event& ev) {
+  KFI_CHECK(!run.errno_run, "stray breakpoint in an errno run");
+  InjectionRecord& record = run.record;
+  isa::CpuCore& cpu = machine_.cpu();
+  if (ev.kind == EventKind::kInsnBp) {
+    // Code injection: the selected function was entered; corrupt the
+    // chosen instruction before execution proceeds.
+    for (const FaultSite& s : run.target.sites) flip_code_site(s);
+    record.activated = true;
+    record.activation_cycle = cpu.cycles();
+    record.latency_base_cycle = cpu.cycles();
+    run.latency_base_set = true;
+    return;
+  }
+  if (!record.activated) {
+    record.activated = true;
+    record.activation_cycle = cpu.cycles();
+    // Stack latency runs from activation (first access).
+    if (run.target.kind == CampaignKind::kStack) {
+      record.latency_base_cycle = cpu.cycles();
+      run.latency_base_set = true;
+    }
+  }
+  if (ev.hit.is_write) {
+    // The write overwrote the error: re-inject (Section 3.3).
+    flip_value_bits(run.watched_word, run.watched_bits);
+  } else {
+    // Read access consumed the corrupted value.
+    cpu.debug().disarm_data_bp(0);
+    run.monitoring = false;
+  }
+}
 
-  const bool final_ok = completed ? wl_.final_check(machine_) : true;
-  if (!final_ok) fsv = true;
+void ExperimentRunner::on_errno_op(Run& run, bool ok) {
+  InjectionRecord& record = run.record;
+  // Forces are delivered exactly at syscall completion, so the delta in
+  // the injector's log is this op's force count.
+  const size_t forced = errno_injector_->forced().size();
+  const u32 newly = static_cast<u32>(forced - run.forces_seen);
+  run.forces_seen = forced;
+  if (newly > 0 && !record.activated) {
+    // Activation == the first forced return was delivered; the latency
+    // baseline runs from there (cf. code/stack errors).
+    record.activated = true;
+    record.activation_cycle = machine_.cpu().cycles();
+    record.latency_base_cycle = machine_.cpu().cycles();
+    run.latency_base_set = true;
+  }
+  run.tracker.record_op(run.ops_completed, newly, ok);
+  ++run.ops_completed;
+}
 
-  record.cascade = tracker.finalize(completed, final_ok, ops_completed);
-  if (!forced.empty()) {
+void ExperimentRunner::finish_errno(Run& run, bool final_ok) {
+  InjectionRecord& record = run.record;
+  const std::vector<errnoinj::ForcedError>& forced =
+      errno_injector_->forced();
+  record.cascade =
+      run.tracker.finalize(run.completed, final_ok, run.ops_completed);
+  run.forced_any = !forced.empty();
+  if (run.forced_any) {
     record.cascade.first_forced_syscall = forced.front().syscall;
     record.cascade.natural_ret = forced.front().natural_ret;
     record.cascade.forced_ret = forced.front().forced_ret;
   }
   record.cascade_valid = true;
+  errno_injector_->disarm();
+}
 
-  // STEP 3: classify and (for crashes) deposit the crash data remotely.
-  if (record.crashed) {
-    kernel::CrashReport wire = record.crash;
-    wire.cycles_to_crash = record.cycles_to_crash;
-    channel_.send(DataDeposit::serialize(sequence, wire));
-    collector_.poll(channel_);
-    record.crash_report_received = collector_.has(sequence);
-    record.outcome = record.crash_report_received
-                         ? OutcomeCategory::kKnownCrash
-                         : OutcomeCategory::kHangOrUnknownCrash;
-  } else if (hang) {
-    record.outcome = OutcomeCategory::kHangOrUnknownCrash;
-  } else if (forced.empty()) {
+OutcomeCategory ExperimentRunner::classify_completed(Run& run) {
+  InjectionRecord& record = run.record;
+  if (run.errno_run) {
     // The schedule never fired (index beyond the run's eligible
     // invocations, or an empty Poisson draw): nothing was injected.
-    record.outcome = OutcomeCategory::kNotActivated;
-  } else if (fsv) {
-    record.outcome = OutcomeCategory::kFailSilenceViolation;
-  } else {
-    record.outcome = OutcomeCategory::kNotManifested;
+    if (!run.forced_any) return OutcomeCategory::kNotActivated;
+    return run.fsv ? OutcomeCategory::kFailSilenceViolation
+                   : OutcomeCategory::kNotManifested;
   }
-  simulated_cycles_ += cpu.cycles() - start;
-  if (taint_ != nullptr) {
-    record.propagation = taint_->finalize();
-    record.propagation_valid = true;
+  if (run.fsv) {
+    // Output corruption proves the error was consumed, even if it slipped
+    // through an unmonitored path (e.g. the exception glue).
+    record.activated = record.activated || record.activation_known;
+    return OutcomeCategory::kFailSilenceViolation;
   }
-  return record;
+  if (run.rate_mode && !run.rate_applied_any) {
+    // Every scheduled flip missed kernel state (user-context register
+    // windows, empty stacks) or the schedule was empty: provably nothing
+    // was injected, so the clean run is a non-activation, and that is
+    // known despite the rate trigger being unmonitorable in general.
+    record.activation_known = true;
+    return OutcomeCategory::kNotActivated;
+  }
+  if (!record.activated && !run.rate_mode &&
+      run.target.kind != CampaignKind::kRegister) {
+    // Paper Section 3.3: breakpoint never reached — the original value
+    // is restored and the error marked as not activated.  (The reboot
+    // before the next experiment restores it here.)
+    return OutcomeCategory::kNotActivated;
+  }
+  return OutcomeCategory::kNotManifested;
 }
 
 InjectionRecord ExperimentRunner::run_one(const InjectionTarget& target,
                                           u64 run_seed, u32 sequence) {
-  if (target.kind == CampaignKind::kErrno) {
-    return run_errno(target, run_seed, sequence);
-  }
-  InjectionRecord record;
-  record.target = target;
+  Run run(target);
+  run.errno_run = target.kind == CampaignKind::kErrno;
+  run.rate_mode = !run.errno_run && model_.trigger == FaultTrigger::kRate;
+  InjectionRecord& record = run.record;
 
   reboot();  // fresh boot state for every experiment
   wl_.reset(run_seed);
@@ -330,211 +466,69 @@ InjectionRecord ExperimentRunner::run_one(const InjectionTarget& target,
   if (taint_ != nullptr) taint_->reset();  // fresh shadow state too
 
   isa::CpuCore& cpu = machine_.cpu();
-  const u64 start = cpu.cycles();
-  const u64 budget_end = start + budget_cycles_;
+  run.start = cpu.cycles();
+  run.budget_end = run.start + budget_cycles_;
+  arm(run);
 
-  // Rate trigger: the plan pre-drew a Poisson event schedule into the
-  // site list (sorted by at_frac); no Section 3.3 monitor is armed, and
-  // each site fires when the machine reaches its cycle.
-  const bool rate_mode = model_.trigger == FaultTrigger::kRate;
-  size_t next_site = 0;
-  bool rate_applied_any = false;
-  auto site_cycle = [&](const FaultSite& s) {
-    return start + static_cast<u64>(s.at_frac * static_cast<double>(nominal_));
-  };
-
-  // Deferred-injection setup (single-shot stack/register).
-  bool pending_deferred =
-      !rate_mode && (target.kind == CampaignKind::kStack ||
-                     target.kind == CampaignKind::kRegister);
-  const u64 inject_at =
-      start + static_cast<u64>(target.inject_at_frac *
-                               static_cast<double>(nominal_));
-  Addr watched_word = 0;
-  std::vector<u32> watched_bits;
-  auto site_bits = [&target]() {
-    std::vector<u32> bits;
-    bits.reserve(target.sites.size());
-    for (const FaultSite& s : target.sites) bits.push_back(s.bit);
-    return bits;
-  };
-
-  if (!rate_mode) {
-    switch (target.kind) {
-      case CampaignKind::kCode:
-        // Breakpoint at the selected function's entry; the flips are
-        // applied to the chosen instruction when the function is first
-        // reached.
-        cpu.debug().arm_insn_bp(target.code_entry != 0 ? target.code_entry
-                                                       : target.site().addr);
-        break;
-      case CampaignKind::kData:
-        // Every site of a multi-bit/burst shape lands in the same word.
-        watched_word = target.site().addr;
-        watched_bits = site_bits();
-        flip_value_bits(watched_word, watched_bits);
-        // Data-error latency runs from injection: latent errors can sit
-        // unconsumed for a long time (the paper's long-tail discussion).
-        record.activation_cycle = cpu.cycles();
-        record.latency_base_cycle = cpu.cycles();
-        cpu.debug().arm_data_bp(0, watched_word, 4, /*on_read=*/true,
-                                /*on_write=*/true);
-        break;
-      default:
-        break;
-    }
-  }
-  if (rate_mode || target.kind == CampaignKind::kRegister) {
-    // No monitor can observe a use of the corrupted state (registers,
-    // paper footnote 1) — and rate-mode flips are likewise unmonitored.
-    record.activation_known = false;
-  }
-
-  bool fsv = false;
-  bool hang = false;
-  bool completed = false;
-  bool monitoring =
-      !rate_mode && target.kind == CampaignKind::kData;  // bp armed now
-  // Whether the latency baseline has been fixed (cycle 0 is a legitimate
-  // baseline for data errors injected at run start).
-  bool latency_base_set = monitoring;
-
-  while (!record.crashed && !hang) {
+  while (!record.crashed && !run.hang) {
     auto req = wl_.next(machine_);
     if (!req) {
-      completed = true;
+      run.completed = true;
       break;
     }
     machine_.begin_syscall(req->nr, req->a0, req->a1, req->a2);
     record.syscalls_completed += 1;
 
     bool syscall_done = false;
-    while (!syscall_done && !record.crashed && !hang) {
-      u64 stop = budget_end;
-      if (pending_deferred && inject_at < stop) stop = inject_at;
-      if (rate_mode && next_site < target.sites.size()) {
-        const u64 at = site_cycle(target.sites[next_site]);
-        if (at < stop) stop = at;
-      }
-      const Event ev = machine_.run(stop);
+    while (!syscall_done && !record.crashed && !run.hang) {
+      const Event ev = machine_.run(next_stop(run));
       switch (ev.kind) {
-        case EventKind::kCycleStop: {
-          if (pending_deferred && cpu.cycles() >= inject_at) {
-            pending_deferred = false;
-            if (target.kind == CampaignKind::kRegister) {
-              record.target.reg_name =
-                  machine_.cpu().sysregs().info(
-                      target.site().reg_index %
-                      machine_.cpu().sysregs().count()).name;
-              if (inject_register(target)) {
-                record.activation_cycle = cpu.cycles();
-                // Register latency runs from injection (paper footnote 5).
-                record.latency_base_cycle = cpu.cycles();
-                latency_base_set = true;
-                if (taint_ != nullptr) {
-                  // Seed the register's shadow slot.  The bank write above
-                  // is injector traffic, not program traffic, so it does
-                  // not pass through the CPU's trace hooks; seeding here
-                  // is what makes the flip visible to the engine.
-                  taint_->seed_register(machine_.cpu().sysreg_slot(
-                      target.site().reg_index %
-                      machine_.cpu().sysregs().count()));
-                }
-              }
-            } else {  // stack
-              watched_word = resolve_stack_addr(target.site());
-              watched_bits = site_bits();
-              if (watched_word != 0) {
-                flip_value_bits(watched_word, watched_bits);
-                record.activation_cycle = cpu.cycles();
-                cpu.debug().arm_data_bp(0, watched_word, 4, true, true);
-                monitoring = true;
-              }
-            }
-            break;
-          }
-          if (rate_mode && next_site < target.sites.size() &&
-              cpu.cycles() >= site_cycle(target.sites[next_site])) {
-            while (next_site < target.sites.size() &&
-                   cpu.cycles() >= site_cycle(target.sites[next_site])) {
-              const FaultSite& s = target.sites[next_site++];
-              if (apply_rate_site(target, s, record)) {
-                rate_applied_any = true;
-                if (!latency_base_set) {
-                  record.activation_cycle = cpu.cycles();
-                  record.latency_base_cycle = cpu.cycles();
-                  latency_base_set = true;
-                }
-              }
-            }
-            break;
-          }
-          hang = true;
+        case EventKind::kCycleStop:
+          run.hang = !on_cycle_stop(run);
           break;
-        }
-        case EventKind::kInsnBp: {
-          // Code injection: the selected function was entered; corrupt the
-          // chosen instruction before execution proceeds.
-          for (const FaultSite& s : target.sites) flip_code_site(s);
-          record.activated = true;
-          record.activation_cycle = cpu.cycles();
-          record.latency_base_cycle = cpu.cycles();
-          latency_base_set = true;
+        case EventKind::kInsnBp:
+        case EventKind::kDataBp:
+          on_breakpoint(run, ev);
           break;
-        }
-        case EventKind::kDataBp: {
-          if (!record.activated) {
-            record.activated = true;
-            record.activation_cycle = cpu.cycles();
-            // Stack latency runs from activation (first access).
-            if (target.kind == CampaignKind::kStack) {
-              record.latency_base_cycle = cpu.cycles();
-              latency_base_set = true;
-            }
-          }
-          if (ev.hit.is_write) {
-            // The write overwrote the error: re-inject (Section 3.3).
-            flip_value_bits(watched_word, watched_bits);
-          } else {
-            // Read access consumed the corrupted value.
-            cpu.debug().disarm_data_bp(0);
-            monitoring = false;
-          }
-          break;
-        }
         case EventKind::kSyscallDone: {
           syscall_done = true;
-          if (!wl_.check(machine_, ev.ret)) fsv = true;
+          const bool ok = wl_.check(machine_, ev.ret);
+          if (!ok) run.fsv = true;
+          if (run.errno_run) on_errno_op(run, ok);
           break;
         }
-        case EventKind::kCrash: {
+        case EventKind::kCrash:
           record.crashed = true;
           record.crash = ev.crash;
-          if (!record.activated) {
+          if (!record.activated && !run.errno_run) {
             // Consumed through an unmonitored path (e.g. the exception
             // glue): the crash itself proves activation.
             record.activated = true;
-            if (record.activation_cycle == 0) record.activation_cycle = start;
+            if (record.activation_cycle == 0) {
+              record.activation_cycle = run.start;
+            }
           }
-          if (!latency_base_set) {
+          if (!run.latency_base_set) {
             record.latency_base_cycle = record.activation_cycle != 0
                                             ? record.activation_cycle
-                                            : start;
+                                            : run.start;
           }
           record.cycles_to_crash =
               ev.crash.cycles_to_crash - record.latency_base_cycle;
           break;
-        }
-        case EventKind::kCheckstop: {
-          hang = true;
+        case EventKind::kCheckstop:
+          run.hang = true;
           break;
-        }
         case EventKind::kIdle:
           KFI_CHECK(false, "machine idle mid-syscall");
           break;
       }
     }
   }
+
+  const bool final_ok = !run.completed || wl_.final_check(machine_);
+  if (!final_ok) run.fsv = true;
+  if (run.errno_run) finish_errno(run, final_ok);
 
   // STEP 3: classify and (for crashes) deposit the crash data remotely.
   if (record.crashed) {
@@ -546,37 +540,15 @@ InjectionRecord ExperimentRunner::run_one(const InjectionTarget& target,
     record.outcome = record.crash_report_received
                          ? OutcomeCategory::kKnownCrash
                          : OutcomeCategory::kHangOrUnknownCrash;
-  } else if (hang) {
+  } else if (run.hang) {
     record.activated = record.activated || !record.activation_known;
     record.outcome = OutcomeCategory::kHangOrUnknownCrash;
   } else {
-    KFI_CHECK(completed, "run neither completed nor failed");
-    if (!wl_.final_check(machine_)) fsv = true;
-    if (fsv) {
-      // Output corruption proves the error was consumed, even if it slipped
-      // through an unmonitored path (e.g. the exception glue).
-      record.activated = record.activated || record.activation_known;
-      record.outcome = OutcomeCategory::kFailSilenceViolation;
-    } else if (rate_mode && !rate_applied_any) {
-      // Every scheduled flip missed kernel state (user-context register
-      // windows, empty stacks) or the schedule was empty: provably nothing
-      // was injected, so the clean run is a non-activation, and that is
-      // known despite the rate trigger being unmonitorable in general.
-      record.activation_known = true;
-      record.outcome = OutcomeCategory::kNotActivated;
-    } else if (!record.activated && !rate_mode &&
-               target.kind != CampaignKind::kRegister) {
-      // Paper Section 3.3: breakpoint never reached — the original value
-      // is restored and the error marked as not activated.  (The reboot
-      // before the next experiment restores it here.)
-      record.outcome = OutcomeCategory::kNotActivated;
-    } else {
-      record.outcome = OutcomeCategory::kNotManifested;
-    }
+    record.outcome = classify_completed(run);
   }
-  if (monitoring) cpu.debug().disarm_data_bp(0);
+  if (run.monitoring) cpu.debug().disarm_data_bp(0);
   cpu.debug().disarm_insn_bp();
-  simulated_cycles_ += cpu.cycles() - start;
+  simulated_cycles_ += cpu.cycles() - run.start;
   if (taint_ != nullptr) {
     record.propagation = taint_->finalize();
     record.propagation_valid = true;

@@ -15,6 +15,14 @@
 //             original value, not activated.
 //   register: flip the bit of the system register at a random point of
 //             the run; activation cannot be monitored (paper footnote 1).
+//   errno:    no breakpoint, no corruption: the attached ErrnoInjector
+//             forces the scheduled syscall results; activation = the first
+//             forced result delivered, and every op's check feeds the
+//             record's CascadeSummary.
+//
+// Every kind runs the same experiment loop (run_one): reboot, drive the
+// workload syscall by syscall, stop for the kind's trigger, watch, and
+// classify.  The kinds differ only in the private hooks that loop calls.
 //
 // Outcomes follow Table 2, with crashes whose crash-data datagram was lost
 // on the UDP channel merging into Hang/Unknown Crash as in Tables 5/6.
@@ -113,11 +121,28 @@ class ExperimentRunner {
   /// kernel state was actually corrupted.
   bool apply_rate_site(const InjectionTarget& target, const FaultSite& site,
                        InjectionRecord& record);
-  /// kErrno protocol: no breakpoints, no corruption — arm the injector
-  /// with the target's schedule, run the workload, and fold the per-op
-  /// check results into the record's CascadeSummary.
-  InjectionRecord run_errno(const InjectionTarget& target, u64 run_seed,
-                            u32 sequence);
+
+  // --- the per-kind hooks of run_one's single event loop ---
+  struct Run;
+  /// Arm the kind's trigger: the code breakpoint, the data flip and its
+  /// breakpoint, the deferred stack/register injection, or the errno
+  /// schedule.  Rate-triggered runs arm nothing.
+  void arm(Run& run);
+  /// The cycle the next Machine::run slice stops at: the hang budget, or
+  /// an earlier deferred-injection or rate-site cycle.
+  u64 next_stop(const Run& run) const;
+  u64 site_cycle(const Run& run, const FaultSite& site) const;
+  /// A cycle stop: inject whatever is due and return true, or return
+  /// false when nothing was (the hang budget ran out).
+  bool on_cycle_stop(Run& run);
+  /// An instruction or data breakpoint (physical kinds only).
+  void on_breakpoint(Run& run, const kernel::Event& ev);
+  /// Errno: count this op's forced returns and feed the cascade tracker.
+  void on_errno_op(Run& run, bool ok);
+  /// Errno: fold the run into the record's CascadeSummary and disarm.
+  void finish_errno(Run& run, bool final_ok);
+  /// Table 2 outcome of a run that reached the workload's end.
+  OutcomeCategory classify_completed(Run& run);
 
   kernel::Machine& machine_;
   workload::Workload& wl_;

@@ -74,7 +74,7 @@ struct FaultModel {
   std::string name() const;
 };
 
-/// FNV-1a over the model's knobs.  Stamped into journal v3 headers so a
+/// FNV-1a over the model's knobs.  Stamped into journal headers so a
 /// resume can refuse a journal written under a different fault model even
 /// when the rest of the plan matches.
 u64 fault_model_fingerprint(const FaultModel& model);

@@ -28,47 +28,25 @@ using codec::write_all;
 
 }  // namespace
 
-void serialize_journal_entry(std::vector<u8>& out, const JournalEntry& e,
-                             u32 version) {
+void serialize_journal_entry(std::vector<u8>& out, const JournalEntry& e) {
   put32(out, e.index);
 
   const InjectionTarget& t = e.record.target;
-  if (version >= kJournalVersionV3) {
-    put8(out, static_cast<u8>(t.kind));
-    put32(out, t.code_entry);
-    put_string(out, t.function);
-    put8(out, static_cast<u8>(t.opclass));
-    put_string(out, t.reg_name);
-    put_double(out, t.inject_at_frac);
-    put32(out, static_cast<u32>(t.sites.size()));
-    for (const FaultSite& s : t.sites) {
-      put32(out, s.addr);
-      put32(out, s.bit);
-      put32(out, s.insn_len);
-      put32(out, s.task);
-      put_double(out, s.depth_frac);
-      put32(out, s.reg_index);
-      put_double(out, s.at_frac);
-    }
-  } else {
-    // Pre-v3 files carry the flat single-site layout; lossless for the
-    // legacy targets that are the only ones such files can contain.
-    const LegacyTargetFields f = legacy_target_fields(t);
-    put8(out, static_cast<u8>(f.kind));
-    put32(out, f.code_entry);
-    put32(out, f.code_addr);
-    put32(out, f.code_insn_len);
-    put32(out, f.code_bit);
-    put_string(out, f.function);
-    put32(out, f.data_addr);
-    put32(out, f.data_bit);
-    put32(out, f.stack_task);
-    put_double(out, f.stack_depth_frac);
-    put32(out, f.stack_bit);
-    put32(out, f.reg_index);
-    put32(out, f.reg_bit);
-    put_string(out, f.reg_name);
-    put_double(out, f.inject_at_frac);
+  put8(out, static_cast<u8>(t.kind));
+  put32(out, t.code_entry);
+  put_string(out, t.function);
+  put8(out, static_cast<u8>(t.opclass));
+  put_string(out, t.reg_name);
+  put_double(out, t.inject_at_frac);
+  put32(out, static_cast<u32>(t.sites.size()));
+  for (const FaultSite& s : t.sites) {
+    put32(out, s.addr);
+    put32(out, s.bit);
+    put32(out, s.insn_len);
+    put32(out, s.task);
+    put_double(out, s.depth_frac);
+    put32(out, s.reg_index);
+    put_double(out, s.at_frac);
   }
 
   const InjectionRecord& r = e.record;
@@ -95,108 +73,77 @@ void serialize_journal_entry(std::vector<u8>& out, const JournalEntry& e,
   put64(out, e.datagrams_dropped);
   put64(out, e.simulated_cycles);
 
-  if (version >= 2) {
-    const trace::PropagationSummary& p = r.propagation;
-    put8(out, r.propagation_valid ? 1 : 0);
-    put8(out, p.traced ? 1 : 0);
-    put8(out, p.seeded ? 1 : 0);
-    put64(out, p.seed_insn);
-    put8(out, p.used ? 1 : 0);
-    put64(out, p.first_use_insn);
-    put64(out, p.first_use_latency);
-    put32(out, p.max_depth);
-    put32(out, p.tainted_regs_peak);
-    put32(out, p.tainted_bytes_peak);
-    put64(out, p.tainted_reads);
-    put64(out, p.tainted_writes);
-    put64(out, p.tainted_branches);
-    put64(out, p.pc_tainted_insns);
-    put32(out, p.objects_crossed);
-    put64(out, p.silent_overwrites);
-    put8(out, p.syscall_result_tainted ? 1 : 0);
-    put32(out, p.priv_transitions);
-    put8(out, p.live_at_end ? 1 : 0);
-    put32(out, p.live_regs_at_end);
-    put32(out, p.live_bytes_at_end);
-  }
+  const trace::PropagationSummary& p = r.propagation;
+  put8(out, r.propagation_valid ? 1 : 0);
+  put8(out, p.traced ? 1 : 0);
+  put8(out, p.seeded ? 1 : 0);
+  put64(out, p.seed_insn);
+  put8(out, p.used ? 1 : 0);
+  put64(out, p.first_use_insn);
+  put64(out, p.first_use_latency);
+  put32(out, p.max_depth);
+  put32(out, p.tainted_regs_peak);
+  put32(out, p.tainted_bytes_peak);
+  put64(out, p.tainted_reads);
+  put64(out, p.tainted_writes);
+  put64(out, p.tainted_branches);
+  put64(out, p.pc_tainted_insns);
+  put32(out, p.objects_crossed);
+  put64(out, p.silent_overwrites);
+  put8(out, p.syscall_result_tainted ? 1 : 0);
+  put32(out, p.priv_transitions);
+  put8(out, p.live_at_end ? 1 : 0);
+  put32(out, p.live_regs_at_end);
+  put32(out, p.live_bytes_at_end);
 
-  if (version >= kJournalVersion) {
-    const errnoinj::CascadeSummary& cs = r.cascade;
-    put8(out, r.cascade_valid ? 1 : 0);
-    put32(out, cs.forced);
-    put32(out, cs.first_forced_op);
-    put32(out, cs.first_forced_syscall);
-    put32(out, cs.natural_ret);
-    put32(out, cs.forced_ret);
-    put32(out, cs.deviating_ops);
-    put32(out, cs.cascade_length);
-    put8(out, static_cast<u8>(cs.containment));
-    put8(out, cs.checked_at_site ? 1 : 0);
-    put8(out, cs.state_deviation ? 1 : 0);
-  }
+  const errnoinj::CascadeSummary& cs = r.cascade;
+  put8(out, r.cascade_valid ? 1 : 0);
+  put32(out, cs.forced);
+  put32(out, cs.first_forced_op);
+  put32(out, cs.first_forced_syscall);
+  put32(out, cs.natural_ret);
+  put32(out, cs.forced_ret);
+  put32(out, cs.deviating_ops);
+  put32(out, cs.cascade_length);
+  put8(out, static_cast<u8>(cs.containment));
+  put8(out, cs.checked_at_site ? 1 : 0);
+  put8(out, cs.state_deviation ? 1 : 0);
 }
 
 std::optional<JournalEntry> deserialize_journal_entry(
-    const std::vector<u8>& in, size_t& pos, u32 version) {
+    const std::vector<u8>& in, size_t& pos) {
   Cursor c{in, pos};
   JournalEntry e;
   e.index = c.get32();
 
   InjectionTarget& t = e.record.target;
-  if (version >= kJournalVersionV3) {
-    const u8 kind = c.get8();
-    // Errno targets were introduced with v4; a v3 file carrying the kind
-    // byte is malformed, not a forward-compatible extension.
-    const u8 max_kind = version >= kJournalVersion
-                            ? static_cast<u8>(CampaignKind::kErrno)
-                            : static_cast<u8>(CampaignKind::kCode);
-    if (kind > max_kind) return std::nullopt;
-    t.kind = static_cast<CampaignKind>(kind);
-    t.code_entry = c.get32();
-    t.function = c.get_string();
-    const u8 opclass = c.get8();
-    if (opclass >= static_cast<u8>(isa::OpClass::kNumClasses)) {
-      return std::nullopt;
-    }
-    t.opclass = static_cast<isa::OpClass>(opclass);
-    t.reg_name = c.get_string();
-    t.inject_at_frac = c.get_double();
-    const u32 site_count = c.get32();
-    // 7 fields, each at least 4 bytes: any count the remaining payload
-    // cannot hold is malformed, not a huge allocation.
-    if (!c.ok || site_count > (in.size() - c.pos) / 28) return std::nullopt;
-    t.sites.reserve(site_count);
-    for (u32 i = 0; i < site_count; ++i) {
-      FaultSite s;
-      s.addr = c.get32();
-      s.bit = c.get32();
-      s.insn_len = c.get32();
-      s.task = c.get32();
-      s.depth_frac = c.get_double();
-      s.reg_index = c.get32();
-      s.at_frac = c.get_double();
-      t.sites.push_back(s);
-    }
-  } else {
-    LegacyTargetFields f;
-    const u8 kind = c.get8();
-    if (kind > static_cast<u8>(CampaignKind::kCode)) return std::nullopt;
-    f.kind = static_cast<CampaignKind>(kind);
-    f.code_entry = c.get32();
-    f.code_addr = c.get32();
-    f.code_insn_len = c.get32();
-    f.code_bit = c.get32();
-    f.function = c.get_string();
-    f.data_addr = c.get32();
-    f.data_bit = c.get32();
-    f.stack_task = c.get32();
-    f.stack_depth_frac = c.get_double();
-    f.stack_bit = c.get32();
-    f.reg_index = c.get32();
-    f.reg_bit = c.get32();
-    f.reg_name = c.get_string();
-    f.inject_at_frac = c.get_double();
-    t = target_from_legacy_fields(f);
+  const u8 kind = c.get8();
+  if (kind > static_cast<u8>(CampaignKind::kErrno)) return std::nullopt;
+  t.kind = static_cast<CampaignKind>(kind);
+  t.code_entry = c.get32();
+  t.function = c.get_string();
+  const u8 opclass = c.get8();
+  if (opclass >= static_cast<u8>(isa::OpClass::kNumClasses)) {
+    return std::nullopt;
+  }
+  t.opclass = static_cast<isa::OpClass>(opclass);
+  t.reg_name = c.get_string();
+  t.inject_at_frac = c.get_double();
+  const u32 site_count = c.get32();
+  // 7 fields, each at least 4 bytes: any count the remaining payload
+  // cannot hold is malformed, not a huge allocation.
+  if (!c.ok || site_count > (in.size() - c.pos) / 28) return std::nullopt;
+  t.sites.reserve(site_count);
+  for (u32 i = 0; i < site_count; ++i) {
+    FaultSite s;
+    s.addr = c.get32();
+    s.bit = c.get32();
+    s.insn_len = c.get32();
+    s.task = c.get32();
+    s.depth_frac = c.get_double();
+    s.reg_index = c.get32();
+    s.at_frac = c.get_double();
+    t.sites.push_back(s);
   }
 
   InjectionRecord& r = e.record;
@@ -231,52 +178,45 @@ std::optional<JournalEntry> deserialize_journal_entry(
   e.datagrams_dropped = c.get64();
   e.simulated_cycles = c.get64();
 
-  if (version >= 2) {
-    trace::PropagationSummary& p = r.propagation;
-    r.propagation_valid = c.get8() != 0;
-    p.traced = c.get8() != 0;
-    p.seeded = c.get8() != 0;
-    p.seed_insn = c.get64();
-    p.used = c.get8() != 0;
-    p.first_use_insn = c.get64();
-    p.first_use_latency = c.get64();
-    p.max_depth = c.get32();
-    p.tainted_regs_peak = c.get32();
-    p.tainted_bytes_peak = c.get32();
-    p.tainted_reads = c.get64();
-    p.tainted_writes = c.get64();
-    p.tainted_branches = c.get64();
-    p.pc_tainted_insns = c.get64();
-    p.objects_crossed = c.get32();
-    p.silent_overwrites = c.get64();
-    p.syscall_result_tainted = c.get8() != 0;
-    p.priv_transitions = c.get32();
-    p.live_at_end = c.get8() != 0;
-    p.live_regs_at_end = c.get32();
-    p.live_bytes_at_end = c.get32();
-  }
-  // v1 payloads simply have no propagation block: the record keeps the
-  // default summary with propagation_valid = false.
+  trace::PropagationSummary& p = r.propagation;
+  r.propagation_valid = c.get8() != 0;
+  p.traced = c.get8() != 0;
+  p.seeded = c.get8() != 0;
+  p.seed_insn = c.get64();
+  p.used = c.get8() != 0;
+  p.first_use_insn = c.get64();
+  p.first_use_latency = c.get64();
+  p.max_depth = c.get32();
+  p.tainted_regs_peak = c.get32();
+  p.tainted_bytes_peak = c.get32();
+  p.tainted_reads = c.get64();
+  p.tainted_writes = c.get64();
+  p.tainted_branches = c.get64();
+  p.pc_tainted_insns = c.get64();
+  p.objects_crossed = c.get32();
+  p.silent_overwrites = c.get64();
+  p.syscall_result_tainted = c.get8() != 0;
+  p.priv_transitions = c.get32();
+  p.live_at_end = c.get8() != 0;
+  p.live_regs_at_end = c.get32();
+  p.live_bytes_at_end = c.get32();
 
-  if (version >= kJournalVersion) {
-    errnoinj::CascadeSummary& cs = r.cascade;
-    r.cascade_valid = c.get8() != 0;
-    cs.forced = c.get32();
-    cs.first_forced_op = c.get32();
-    cs.first_forced_syscall = c.get32();
-    cs.natural_ret = c.get32();
-    cs.forced_ret = c.get32();
-    cs.deviating_ops = c.get32();
-    cs.cascade_length = c.get32();
-    const u8 containment = c.get8();
-    if (containment > static_cast<u8>(errnoinj::CascadeClass::kSilent)) {
-      return std::nullopt;
-    }
-    cs.containment = static_cast<errnoinj::CascadeClass>(containment);
-    cs.checked_at_site = c.get8() != 0;
-    cs.state_deviation = c.get8() != 0;
+  errnoinj::CascadeSummary& cs = r.cascade;
+  r.cascade_valid = c.get8() != 0;
+  cs.forced = c.get32();
+  cs.first_forced_op = c.get32();
+  cs.first_forced_syscall = c.get32();
+  cs.natural_ret = c.get32();
+  cs.forced_ret = c.get32();
+  cs.deviating_ops = c.get32();
+  cs.cascade_length = c.get32();
+  const u8 containment = c.get8();
+  if (containment > static_cast<u8>(errnoinj::CascadeClass::kSilent)) {
+    return std::nullopt;
   }
-  // Pre-v4 payloads have no cascade block: cascade_valid stays false.
+  cs.containment = static_cast<errnoinj::CascadeClass>(containment);
+  cs.checked_at_site = c.get8() != 0;
+  cs.state_deviation = c.get8() != 0;
 
   if (!c.ok) return std::nullopt;
   pos = c.pos;
@@ -313,20 +253,15 @@ JournalFileData read_journal_file(const std::string& path) {
   }
   JournalFileData data;
   data.file_size = bytes.size();
-  data.version = c.get32();
-  if (data.version < kJournalVersionV1 || data.version > kJournalVersion) {
+  const u32 version = c.get32();
+  if (version != kJournalVersion) {
     throw JournalError("journal version mismatch in " + path + ": " +
-                       std::to_string(data.version) + " (this build reads " +
-                       std::to_string(kJournalVersionV1) + ".." +
+                       std::to_string(version) + " (this build reads only " +
                        std::to_string(kJournalVersion) + ")");
   }
   data.plan_fingerprint = c.get64();
-  if (data.version >= kJournalVersionV3) {
-    data.fault_model_fingerprint = c.get64();
-  }
-  if (data.version >= kJournalVersion) {
-    data.errno_model_fingerprint = c.get64();
-  }
+  data.fault_model_fingerprint = c.get64();
+  data.errno_model_fingerprint = c.get64();
   data.total = c.get32();
   if (!c.ok) throw JournalError("truncated journal header in " + path);
 
@@ -344,7 +279,7 @@ JournalFileData read_journal_file(const std::string& path) {
     const u64 checksum = frame.get64();
     if (!frame.ok || checksum != fnv1a(bytes.data() + payload_at, len)) break;
     size_t pos = payload_at;
-    auto entry = deserialize_journal_entry(bytes, pos, data.version);
+    auto entry = deserialize_journal_entry(bytes, pos);
     if (!entry || pos != payload_at + len || entry->index != index ||
         entry->index >= data.total) {
       break;
@@ -363,16 +298,14 @@ void check_journal_plan(const JournalFileData& data, const CampaignPlan& plan,
                        " was written for a different campaign plan "
                        "(fingerprint mismatch)");
   }
-  if (data.version >= kJournalVersionV3 &&
-      data.fault_model_fingerprint !=
-          fault_model_fingerprint(plan.spec.model)) {
+  if (data.fault_model_fingerprint !=
+      fault_model_fingerprint(plan.spec.model)) {
     throw JournalError("journal " + path +
                        " was written for a different fault model "
                        "(fingerprint mismatch)");
   }
-  if (data.version >= kJournalVersion &&
-      data.errno_model_fingerprint !=
-          errnoinj::errno_model_fingerprint(plan.spec.errno_model)) {
+  if (data.errno_model_fingerprint !=
+      errnoinj::errno_model_fingerprint(plan.spec.errno_model)) {
     throw JournalError("journal " + path +
                        " was written for a different errno model "
                        "(fingerprint mismatch)");
@@ -387,21 +320,17 @@ void check_journal_plan(const JournalFileData& data, const CampaignPlan& plan,
 std::vector<u8> encode_journal_header(const JournalFileData& header) {
   std::vector<u8> out;
   put32(out, kJournalMagic);
-  put32(out, header.version);
+  put32(out, kJournalVersion);
   put64(out, header.plan_fingerprint);
-  if (header.version >= kJournalVersionV3) {
-    put64(out, header.fault_model_fingerprint);
-  }
-  if (header.version >= kJournalVersion) {
-    put64(out, header.errno_model_fingerprint);
-  }
+  put64(out, header.fault_model_fingerprint);
+  put64(out, header.errno_model_fingerprint);
   put32(out, header.total);
   return out;
 }
 
-std::vector<u8> encode_journal_frame(const JournalEntry& entry, u32 version) {
+std::vector<u8> encode_journal_frame(const JournalEntry& entry) {
   std::vector<u8> payload;
-  serialize_journal_entry(payload, entry, version);
+  serialize_journal_entry(payload, entry);
   std::vector<u8> frame;
   frame.reserve(payload.size() + 20);
   put32(frame, kEntryMagic);
@@ -412,11 +341,10 @@ std::vector<u8> encode_journal_frame(const JournalEntry& entry, u32 version) {
   return frame;
 }
 
-InjectionJournal::InjectionJournal(std::string path, u32 version, int fd,
+InjectionJournal::InjectionJournal(std::string path, int fd,
                                    FlushPolicy policy,
                                    std::vector<JournalEntry> recovered)
     : path_(std::move(path)),
-      version_(version),
       fd_(fd),
       policy_(policy),
       recovered_(std::move(recovered)),
@@ -424,7 +352,6 @@ InjectionJournal::InjectionJournal(std::string path, u32 version, int fd,
 
 InjectionJournal::InjectionJournal(InjectionJournal&& other) noexcept
     : path_(std::move(other.path_)),
-      version_(other.version_),
       fd_(other.fd_),
       policy_(other.policy_),
       recovered_(std::move(other.recovered_)),
@@ -438,7 +365,6 @@ InjectionJournal& InjectionJournal::operator=(
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     path_ = std::move(other.path_);
-    version_ = other.version_;
     fd_ = other.fd_;
     policy_ = other.policy_;
     recovered_ = std::move(other.recovered_);
@@ -474,7 +400,7 @@ InjectionJournal InjectionJournal::create(const std::string& path,
     ::fsync(fd);
     sync_parent_dir(path);
   }
-  return InjectionJournal(path, kJournalVersion, fd, policy, {});
+  return InjectionJournal(path, fd, policy, {});
 }
 
 InjectionJournal InjectionJournal::resume(const std::string& path,
@@ -487,14 +413,11 @@ InjectionJournal InjectionJournal::resume(const std::string& path,
   }
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
   if (fd < 0) throw JournalError("cannot reopen journal at " + path);
-  return InjectionJournal(path, data.version, fd, policy,
-                          std::move(data.entries));
+  return InjectionJournal(path, fd, policy, std::move(data.entries));
 }
 
 void InjectionJournal::append(const JournalEntry& entry) {
-  // Append in the file's own version so a resumed v1 journal stays a
-  // uniform v1 file (its header promises no propagation blocks).
-  const std::vector<u8> frame = encode_journal_frame(entry, version_);
+  const std::vector<u8> frame = encode_journal_frame(entry);
 
   const std::lock_guard<std::mutex> lock(*mutex_);
   if (fd_ < 0) throw JournalError("cannot append to journal " + path_);

@@ -14,7 +14,8 @@
 //
 // File format (all integers big-endian, matching the datagram idiom):
 //   header:  magic "KFIJ" | version u32 | plan_fingerprint u64
-//            | [v3+: fault_model_fingerprint u64] | total u32
+//            | fault_model_fingerprint u64 | errno_model_fingerprint u64
+//            | total u32
 //   entry:   magic "KFIE" | index u32 | payload_len u32 | payload bytes
 //            | fnv1a64(payload) u64
 // The payload is the serialized JournalEntry body.  A torn tail entry
@@ -22,23 +23,13 @@
 // truncates the file back to the last intact entry and the lost index is
 // simply re-executed.
 //
-// Versioning: v1 entries end at the counter deltas; v2 appends the
-// error-propagation block (PropagationSummary); v3 stamps the campaign's
-// fault-model fingerprint into the header and serializes the target as
-// its FaultSite list instead of the old flat per-kind fields; v4
-// (current) additionally stamps the errno-model fingerprint into the
-// header and appends the cascade block (CascadeSummary) to each entry.
-// resume() accepts all four and keeps appending in the file's own
-// version, so a v1/v2/v3 journal stays a uniform file end to end (its
-// single-site targets round-trip losslessly through the flat legacy
-// layout); v1 records simply resume with propagation_valid = false, and
-// pre-v4 records with cascade_valid = false.  Multi-site targets only
-// ever appear in v3+ files: pre-v3 journals can only have been written
-// for legacy (single-bit single-shot) plans, whose plan fingerprint any
-// other model fails to match.  Errno targets (kind = kErrno) only ever
-// appear in v4 files — the v3 reader rejects the kind byte — and a v4
-// journal written for a different errno model is refused on resume via
-// the header fingerprint, exactly like a foreign fault model.
+// Versioning: this build reads and writes version 4 only, and refuses
+// any other version with a JournalError.  An entry carries the target as
+// its FaultSite list, the record, the counter deltas, the
+// error-propagation block (PropagationSummary) and the cascade block
+// (CascadeSummary).  A journal written for a different fault model or
+// errno model is refused on resume via the header fingerprints, exactly
+// like a foreign plan.
 #pragma once
 
 #include <memory>
@@ -54,12 +45,8 @@ namespace kfi::inject {
 
 struct CampaignPlan;
 
-/// On-disk journal format versions this build reads.  New journals are
-/// always written at kJournalVersion.
-constexpr u32 kJournalVersionV1 = 1;  // pre-propagation entries
-constexpr u32 kJournalVersionV2 = 2;  // + PropagationSummary block
-constexpr u32 kJournalVersionV3 = 3;  // + fault-model header, site lists
-constexpr u32 kJournalVersion = 4;    // + errno-model header, cascade block
+/// The on-disk journal format version, the only one this build reads.
+constexpr u32 kJournalVersion = 4;
 
 /// Durability of each append.  kFsync (the default) pushes every frame
 /// through fdatasync so a machine crash — not just a process crash —
@@ -70,7 +57,7 @@ constexpr u32 kJournalVersion = 4;    // + errno-model header, cascade block
 enum class FlushPolicy : u8 { kFsync = 0, kFlush = 1 };
 
 /// Typed failure for journal open/resume problems (missing file, foreign
-/// campaign fingerprint, malformed header).
+/// campaign fingerprint, malformed header, another format version).
 class JournalError : public Error {
  public:
   explicit JournalError(const std::string& what) : Error(what) {}
@@ -94,11 +81,10 @@ struct JournalEntry {
 /// rebuilt plan); InjectionJournal::resume() layers the plan validation
 /// on top.
 struct JournalFileData {
-  u32 version = kJournalVersion;
   u64 plan_fingerprint = 0;
-  u64 fault_model_fingerprint = 0;  // 0 before v3
-  u64 errno_model_fingerprint = 0;  // 0 before v4
-  u32 total = 0;                    // plan target count
+  u64 fault_model_fingerprint = 0;
+  u64 errno_model_fingerprint = 0;
+  u32 total = 0;  // plan target count
   std::vector<JournalEntry> entries;
   /// Byte offset one past the last intact frame; anything after it is a
   /// torn tail (process killed mid-write) the caller may truncate away.
@@ -108,19 +94,20 @@ struct JournalFileData {
 
 /// Parse a journal file: validated header plus every intact entry, torn
 /// tail detected but NOT truncated (read-only).  Throws JournalError if
-/// the file is missing or the header is malformed.
+/// the file is missing, the header is malformed, or the file is not a
+/// version-4 journal.
 JournalFileData read_journal_file(const std::string& path);
 
 /// Throws JournalError unless the journal `data`, read from `path`, was
-/// written for `plan`: plan, fault-model and errno-model fingerprints (as
-/// far as its version records them) and target count all match.
+/// written for `plan`: plan, fault-model and errno-model fingerprints and
+/// target count all match.
 void check_journal_plan(const JournalFileData& data, const CampaignPlan& plan,
                         const std::string& path);
 
-/// On-disk bytes of a journal header with `header`'s version,
-/// fingerprints and total, and of one framed entry in `version`'s layout.
+/// On-disk bytes of a journal header with `header`'s fingerprints and
+/// total, and of one framed entry.
 std::vector<u8> encode_journal_header(const JournalFileData& header);
-std::vector<u8> encode_journal_frame(const JournalEntry& entry, u32 version);
+std::vector<u8> encode_journal_frame(const JournalEntry& entry);
 
 class InjectionJournal {
  public:
@@ -151,10 +138,6 @@ class InjectionJournal {
   /// Entries recovered by resume() (empty for a created journal).
   const std::vector<JournalEntry>& recovered() const { return recovered_; }
 
-  /// The file's format version: kJournalVersion for created journals, the
-  /// on-disk header's version for resumed ones (appends match it).
-  u32 version() const { return version_; }
-
   FlushPolicy flush_policy() const { return policy_; }
 
   /// Appends flushed to disk by this process.  Thread-safe.
@@ -163,11 +146,10 @@ class InjectionJournal {
   const std::string& path() const { return path_; }
 
  private:
-  InjectionJournal(std::string path, u32 version, int fd, FlushPolicy policy,
+  InjectionJournal(std::string path, int fd, FlushPolicy policy,
                    std::vector<JournalEntry> recovered);
 
   std::string path_;
-  u32 version_ = kJournalVersion;
   int fd_ = -1;  // held open for the journal's lifetime (O_APPEND)
   FlushPolicy policy_ = FlushPolicy::kFsync;
   std::vector<JournalEntry> recovered_;
@@ -180,11 +162,9 @@ std::optional<FlushPolicy> parse_flush_policy(const std::string& name);
 
 /// Record (de)serialization, exposed for round-trip tests.  deserialize
 /// advances `pos` and returns nullopt (without reading out of bounds) on
-/// truncated or malformed input.  `version` selects the entry layout (v1
-/// has no propagation block).
-void serialize_journal_entry(std::vector<u8>& out, const JournalEntry& entry,
-                             u32 version = kJournalVersion);
+/// truncated or malformed input.
+void serialize_journal_entry(std::vector<u8>& out, const JournalEntry& entry);
 std::optional<JournalEntry> deserialize_journal_entry(
-    const std::vector<u8>& in, size_t& pos, u32 version = kJournalVersion);
+    const std::vector<u8>& in, size_t& pos);
 
 }  // namespace kfi::inject

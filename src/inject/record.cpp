@@ -102,42 +102,13 @@ LegacyTargetFields legacy_target_fields(const InjectionTarget& target) {
       f.reg_bit = s.bit;
       break;
     case CampaignKind::kErrno:
-      // Errno targets never take the legacy (pre-FaultModel) paths: the
-      // campaign family postdates them, so v1/v2 journals and the legacy
-      // fingerprint layout can never contain one.
+      // Errno targets never take the legacy (pre-FaultModel) path: the
+      // campaign family postdates it, so the legacy fingerprint layout
+      // can never contain one.
       KFI_CHECK(false, "errno targets have no legacy field view");
       break;
   }
   return f;
-}
-
-InjectionTarget target_from_legacy_fields(const LegacyTargetFields& legacy) {
-  InjectionTarget t;
-  switch (legacy.kind) {
-    case CampaignKind::kCode:
-      t = InjectionTarget::code(legacy.code_entry, legacy.code_addr,
-                                legacy.code_insn_len, legacy.code_bit,
-                                legacy.function);
-      break;
-    case CampaignKind::kData:
-      t = InjectionTarget::data(legacy.data_addr, legacy.data_bit);
-      break;
-    case CampaignKind::kStack:
-      t = InjectionTarget::stack(legacy.stack_task, legacy.stack_depth_frac,
-                                 legacy.stack_bit, legacy.inject_at_frac);
-      break;
-    case CampaignKind::kRegister:
-      t = InjectionTarget::sysreg(legacy.reg_index, legacy.reg_bit,
-                                  legacy.inject_at_frac);
-      break;
-    case CampaignKind::kErrno:
-      KFI_CHECK(false, "errno targets have no legacy field view");
-      break;
-  }
-  t.function = legacy.function;
-  t.reg_name = legacy.reg_name;
-  t.inject_at_frac = legacy.inject_at_frac;
-  return t;
 }
 
 std::string campaign_kind_name(CampaignKind kind) {

@@ -106,9 +106,9 @@ struct InjectionTarget {
 };
 
 /// The pre-FaultModel flat view of a target: the 15 per-kind fields the
-/// v1/v2 journal layout and the legacy plan fingerprint were defined
-/// over.  Derived from the first site; exact for every single-site
-/// target, which is the only kind those consumers ever see.
+/// legacy plan fingerprint is defined over (so legacy plans keep their
+/// fingerprints).  Derived from the first site; exact for every
+/// single-site target, which is the only kind that fingerprint ever sees.
 struct LegacyTargetFields {
   CampaignKind kind = CampaignKind::kCode;
   Addr code_entry = 0;
@@ -128,9 +128,6 @@ struct LegacyTargetFields {
 };
 
 LegacyTargetFields legacy_target_fields(const InjectionTarget& target);
-
-/// Rebuild a target from the flat legacy view (journal v1/v2 read path).
-InjectionTarget target_from_legacy_fields(const LegacyTargetFields& legacy);
 
 /// Table 2 outcome categories (with the Table 5/6 known/unknown split),
 /// plus one harness-side category the paper's tables do not have:

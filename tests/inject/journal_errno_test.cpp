@@ -49,9 +49,9 @@ JournalEntry errno_entry() {
 TEST(JournalErrnoSerialization, CascadeBlockRoundTripsInV4) {
   const JournalEntry e = errno_entry();
   std::vector<u8> buf;
-  serialize_journal_entry(buf, e, kJournalVersion);
+  serialize_journal_entry(buf, e);
   size_t pos = 0;
-  const auto back = deserialize_journal_entry(buf, pos, kJournalVersion);
+  const auto back = deserialize_journal_entry(buf, pos);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(pos, buf.size());
   EXPECT_EQ(back->record.target.kind, CampaignKind::kErrno);
@@ -72,35 +72,25 @@ TEST(JournalErrnoSerialization, CascadeBlockRoundTripsInV4) {
   EXPECT_TRUE(cs.state_deviation);
 }
 
-TEST(JournalErrnoSerialization, V3ReaderRejectsErrnoKindByte) {
-  // A v4 writer's errno entry starts with kind byte 4; the v3 layout
-  // never contained that value, so the v3 reader must refuse it instead
-  // of misparsing the payload.
-  std::vector<u8> buf;
-  serialize_journal_entry(buf, errno_entry(), kJournalVersionV3);
-  size_t pos = 0;
-  EXPECT_FALSE(deserialize_journal_entry(buf, pos, kJournalVersionV3));
-}
-
 TEST(JournalErrnoSerialization, V4AcceptsErrnoKindByte) {
   std::vector<u8> buf;
-  serialize_journal_entry(buf, errno_entry(), kJournalVersion);
+  serialize_journal_entry(buf, errno_entry());
   size_t pos = 0;
-  EXPECT_TRUE(deserialize_journal_entry(buf, pos, kJournalVersion));
+  EXPECT_TRUE(deserialize_journal_entry(buf, pos));
 }
 
 TEST(JournalErrnoSerialization, CorruptContainmentRejected) {
   std::vector<u8> buf;
-  serialize_journal_entry(buf, errno_entry(), kJournalVersion);
+  serialize_journal_entry(buf, errno_entry());
   // The containment byte sits third from the end (before two flag bytes).
   buf[buf.size() - 3] = 0x7F;
   size_t pos = 0;
-  EXPECT_FALSE(deserialize_journal_entry(buf, pos, kJournalVersion));
+  EXPECT_FALSE(deserialize_journal_entry(buf, pos));
 }
 
 TEST(JournalErrnoSerialization, EveryTruncationReturnsNullopt) {
   std::vector<u8> buf;
-  serialize_journal_entry(buf, errno_entry(), kJournalVersion);
+  serialize_journal_entry(buf, errno_entry());
   for (size_t len = 0; len < buf.size(); ++len) {
     std::vector<u8> cut(buf.begin(), buf.begin() + static_cast<long>(len));
     size_t pos = 0;
@@ -138,13 +128,11 @@ class ErrnoJournalFileTest : public ::testing::Test {
 TEST_F(ErrnoJournalFileTest, CreateAppendResumeCarriesCascade) {
   {
     InjectionJournal j = InjectionJournal::create(path_, plan_);
-    EXPECT_EQ(j.version(), kJournalVersion);
     JournalEntry e = errno_entry();
     e.index = 1;
     j.append(e);
   }
   InjectionJournal j = InjectionJournal::resume(path_, plan_);
-  EXPECT_EQ(j.version(), kJournalVersion);
   ASSERT_EQ(j.recovered().size(), 1u);
   const InjectionRecord& r = j.recovered()[0].record;
   ASSERT_TRUE(r.cascade_valid);

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "errnoinj/errno_model.hpp"
 #include "inject/fault_model.hpp"
 #include "inject/journal.hpp"
 #include "inject/plan.hpp"
@@ -173,25 +174,6 @@ TEST(JournalEntrySerialization, EveryTruncationReturnsNullopt) {
   }
 }
 
-TEST(JournalEntrySerialization, V1LayoutOmitsPropagationBlock) {
-  const JournalEntry e = full_entry();
-  std::vector<u8> v1, v2;
-  serialize_journal_entry(v1, e, kJournalVersionV1);
-  serialize_journal_entry(v2, e, kJournalVersion);
-  EXPECT_LT(v1.size(), v2.size());
-  size_t pos = 0;
-  const auto back = deserialize_journal_entry(v1, pos, kJournalVersionV1);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(pos, v1.size());
-  // Every pre-propagation field round-trips; the summary itself cannot
-  // be carried by a v1 payload and must come back unset.
-  EXPECT_FALSE(back->record.propagation_valid);
-  JournalEntry expect = e;
-  expect.record.propagation_valid = false;
-  expect.record.propagation = {};
-  expect_entries_equal(expect, *back);
-}
-
 TEST(JournalEntrySerialization, CorruptEnumRejected) {
   std::vector<u8> buf;
   serialize_journal_entry(buf, JournalEntry{});
@@ -297,9 +279,10 @@ TEST_F(JournalFileTest, ResumeRejectsGarbageHeader) {
   EXPECT_THROW(InjectionJournal::resume(path_, plan_), JournalError);
 }
 
-// Big-endian header writer for version-compatibility tests: lets a test
-// fabricate a journal header the current build would never write itself
-// (an old v1 file, or one from a hypothetical future build).
+// Big-endian header writer for version tests: lets a test fabricate a
+// journal header the current build would never write itself (an old
+// pre-v4 file in its own header layout, a hypothetical future version, or
+// a v4 header with a foreign fingerprint).
 void write_bare_header(const std::string& path, u32 version, u64 fingerprint,
                        u32 total, u64 model_fingerprint = 0,
                        u64 errno_fingerprint = 0) {
@@ -314,11 +297,11 @@ void write_bare_header(const std::string& path, u32 version, u64 fingerprint,
   put32(version);
   put32(static_cast<u32>(fingerprint >> 32));
   put32(static_cast<u32>(fingerprint));
-  if (version >= kJournalVersionV3) {
+  if (version >= 3) {  // v3 added the fault-model fingerprint
     put32(static_cast<u32>(model_fingerprint >> 32));
     put32(static_cast<u32>(model_fingerprint));
   }
-  if (version >= kJournalVersion) {
+  if (version >= 4) {  // v4 added the errno-model fingerprint
     put32(static_cast<u32>(errno_fingerprint >> 32));
     put32(static_cast<u32>(errno_fingerprint));
   }
@@ -328,8 +311,15 @@ void write_bare_header(const std::string& path, u32 version, u64 fingerprint,
 }
 
 TEST_F(JournalFileTest, CreatedJournalIsCurrentVersion) {
-  const InjectionJournal j = InjectionJournal::create(path_, plan_);
-  EXPECT_EQ(j.version(), kJournalVersion);
+  { InjectionJournal::create(path_, plan_); }
+  // Header: magic, then the big-endian version word.
+  std::ifstream f(path_, std::ios::binary);
+  u8 head[8] = {};
+  f.read(reinterpret_cast<char*>(head), sizeof(head));
+  ASSERT_TRUE(f);
+  const u32 version = (u32{head[4]} << 24) | (u32{head[5]} << 16) |
+                      (u32{head[6]} << 8) | u32{head[7]};
+  EXPECT_EQ(version, kJournalVersion);
 }
 
 TEST_F(JournalFileTest, CurrentJournalPersistsPropagationSummaries) {
@@ -340,40 +330,31 @@ TEST_F(JournalFileTest, CurrentJournalPersistsPropagationSummaries) {
     j.append(e);
   }
   InjectionJournal j = InjectionJournal::resume(path_, plan_);
-  EXPECT_EQ(j.version(), kJournalVersion);
   ASSERT_EQ(j.recovered().size(), 1u);
   EXPECT_TRUE(j.recovered()[0].record.propagation_valid);
   EXPECT_EQ(j.recovered()[0].record.propagation.max_depth, 37u);
   EXPECT_EQ(j.recovered()[0].record.propagation.first_use_latency, 250u);
 }
 
-TEST_F(JournalFileTest, V1JournalResumesAndAppendsStayV1) {
-  // A journal left behind by a pre-propagation build: v1 header, no
-  // entries yet.
-  write_bare_header(path_, kJournalVersionV1, plan_fingerprint(plan_),
-                    static_cast<u32>(plan_.targets.size()));
-  {
-    InjectionJournal j = InjectionJournal::resume(path_, plan_);
-    EXPECT_EQ(j.version(), kJournalVersionV1);
-    EXPECT_TRUE(j.recovered().empty());
-    JournalEntry e = full_entry();  // carries a summary in memory...
-    e.index = 4;
-    j.append(e);
+TEST_F(JournalFileTest, PreV4JournalsAreRefused) {
+  // Journals from builds before the current format (v1: no propagation
+  // block, v2: no fault-model fingerprint, v3: no errno fingerprint or
+  // cascade block), each in its own header layout, are refused with a
+  // typed error by the reader and by resume.
+  for (const u32 old : {1u, 2u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(old));
+    write_bare_header(path_, old, plan_fingerprint(plan_),
+                      static_cast<u32>(plan_.targets.size()),
+                      fault_model_fingerprint(plan_.spec.model));
+    EXPECT_THROW(read_journal_file(path_), JournalError);
+    try {
+      InjectionJournal::resume(path_, plan_);
+      FAIL() << "resumed a version " << old << " journal";
+    } catch (const JournalError& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+          << e.what();
+    }
   }
-  // ...but the file's own version wins: the append was written v1 and
-  // the journal stays uniformly readable as v1.
-  InjectionJournal j = InjectionJournal::resume(path_, plan_);
-  EXPECT_EQ(j.version(), kJournalVersionV1);
-  ASSERT_EQ(j.recovered().size(), 1u);
-  EXPECT_EQ(j.recovered()[0].index, 4u);
-  EXPECT_FALSE(j.recovered()[0].record.propagation_valid);
-  // The pre-propagation fields made the trip regardless.
-  EXPECT_EQ(j.recovered()[0].record.crash.detail, "sp out of range");
-  JournalEntry expect = full_entry();
-  expect.index = 4;
-  expect.record.propagation_valid = false;
-  expect.record.propagation = {};
-  expect_entries_equal(expect, j.recovered()[0]);
 }
 
 TEST_F(JournalFileTest, ResumeRejectsUnknownVersions) {
@@ -408,48 +389,25 @@ TEST_F(JournalFileTest, MultiSiteTargetRoundTripsInV3) {
   e.record.target.sites.push_back(FaultSite{0xBEEF0, 30, 1, 0, 0.0, 0, 0.0});
   e.record.target.sites.push_back(FaultSite{0xBEEF4, 3, 1, 0, 0.0, 0, 0.25});
   std::vector<u8> buf;
-  serialize_journal_entry(buf, e, kJournalVersion);
+  serialize_journal_entry(buf, e);
   size_t pos = 0;
-  const auto back = deserialize_journal_entry(buf, pos, kJournalVersion);
+  const auto back = deserialize_journal_entry(buf, pos);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(pos, buf.size());
   expect_entries_equal(e, *back);
 }
 
-TEST_F(JournalFileTest, V2JournalResumesAndLegacyAppendsStayV2) {
-  // A journal left behind by a pre-fault-model build: v2 header (no model
-  // fingerprint).  Only legacy plans can match its plan fingerprint, and
-  // appends must keep the file uniformly v2.
-  write_bare_header(path_, kJournalVersionV2, plan_fingerprint(plan_),
-                    static_cast<u32>(plan_.targets.size()));
-  {
-    InjectionJournal j = InjectionJournal::resume(path_, plan_);
-    EXPECT_EQ(j.version(), kJournalVersionV2);
-    EXPECT_TRUE(j.recovered().empty());
-    JournalEntry e = full_entry();
-    e.index = 6;
-    j.append(e);
-  }
-  InjectionJournal j = InjectionJournal::resume(path_, plan_);
-  EXPECT_EQ(j.version(), kJournalVersionV2);
-  ASSERT_EQ(j.recovered().size(), 1u);
-  EXPECT_EQ(j.recovered()[0].index, 6u);
-  // v2 carries the propagation block and the flat single-site target.
-  EXPECT_TRUE(j.recovered()[0].record.propagation_valid);
-  JournalEntry expect = full_entry();
-  expect.index = 6;
-  expect_entries_equal(expect, j.recovered()[0]);
-}
-
 TEST_F(JournalFileTest, V3ResumeRejectsForeignFaultModel) {
-  // Same plan fingerprint, different fault-model fingerprint in the v3
-  // header: the resume must refuse with a fault-model-specific error.
+  // Same plan fingerprint, different fault-model fingerprint (the header
+  // field v3 introduced): the resume must refuse with a
+  // fault-model-specific error.
   FaultModel other;
   other.shape = FaultShape::kMultiBit;
   other.bits = 4;
-  write_bare_header(path_, kJournalVersionV3, plan_fingerprint(plan_),
+  write_bare_header(path_, kJournalVersion, plan_fingerprint(plan_),
                     static_cast<u32>(plan_.targets.size()),
-                    fault_model_fingerprint(other));
+                    fault_model_fingerprint(other),
+                    errnoinj::errno_model_fingerprint(plan_.spec.errno_model));
   try {
     InjectionJournal::resume(path_, plan_);
     FAIL() << "accepted a journal with a foreign fault-model fingerprint";
@@ -462,7 +420,7 @@ TEST_F(JournalFileTest, V3ResumeRejectsForeignFaultModel) {
 TEST_F(JournalFileTest, V3ResumeAcceptsMatchingFaultModel) {
   { InjectionJournal::create(path_, plan_); }
   const InjectionJournal j = InjectionJournal::resume(path_, plan_);
-  EXPECT_EQ(j.version(), kJournalVersion);
+  EXPECT_TRUE(j.recovered().empty());
 }
 
 TEST(FlushPolicyParse, KnownAndUnknownValues) {
@@ -562,7 +520,6 @@ TEST_F(JournalFileTest, ReadJournalFileReportsIntactPrefixWithoutTruncating) {
     f.write("KFIE\x00\x00\x00\x01garbage", 15);
   }
   const JournalFileData data = read_journal_file(path_);
-  EXPECT_EQ(data.version, kJournalVersion);
   EXPECT_EQ(data.plan_fingerprint, plan_fingerprint(plan_));
   EXPECT_EQ(data.total, plan_.targets.size());
   ASSERT_EQ(data.entries.size(), 1u);

@@ -97,7 +97,6 @@ TEST_P(FaultModelParityTest, JobsAndKillResumeAreBitIdentical) {
     EXPECT_LT(journaled, plan.targets.size());
   }
   InjectionJournal journal = InjectionJournal::resume(path, plan);
-  EXPECT_EQ(journal.version(), kJournalVersion);  // non-legacy ⇒ always v3
   EXPECT_EQ(journal.recovered().size(), journaled);
   RunControl ctl;
   ctl.journal = &journal;

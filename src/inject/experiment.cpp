@@ -177,10 +177,26 @@ bool ExperimentRunner::apply_rate_site(const InjectionTarget& target,
 struct ExperimentRunner::Run {
   explicit Run(const InjectionTarget& t) : target(t) { record.target = t; }
 
+  /// The cycle a fraction of the nominal run length after the start.
+  u64 at(double frac) const {
+    return start + static_cast<u64>(frac * static_cast<double>(nominal));
+  }
+  /// The cycle the next Machine::run slice stops at: the hang budget, or
+  /// an earlier deferred-injection or rate-site cycle.
+  u64 next_stop() const {
+    u64 stop = budget_end;
+    if (pending_deferred) stop = std::min(stop, inject_at);
+    if (rate_mode && next_site < target.sites.size()) {
+      stop = std::min(stop, at(target.sites[next_site].at_frac));
+    }
+    return stop;
+  }
+
   const InjectionTarget& target;
   InjectionRecord record;
   bool errno_run = false;
   bool rate_mode = false;
+  u64 nominal = 0;
   u64 start = 0;
   u64 budget_end = 0;
   bool fsv = false;
@@ -208,11 +224,6 @@ struct ExperimentRunner::Run {
   bool forced_any = false;
 };
 
-u64 ExperimentRunner::site_cycle(const Run& run, const FaultSite& site) const {
-  return run.start +
-         static_cast<u64>(site.at_frac * static_cast<double>(nominal_));
-}
-
 namespace {
 
 std::vector<u32> site_bits(const InjectionTarget& target) {
@@ -237,12 +248,7 @@ void ExperimentRunner::arm(Run& run) {
               "errno campaign run without an attached ErrnoInjector");
     std::vector<errnoinj::ScheduledError> schedule;
     schedule.reserve(target.sites.size());
-    for (const FaultSite& s : target.sites) {
-      errnoinj::ScheduledError e;
-      e.index = s.task;
-      e.ret = s.bit;
-      schedule.push_back(e);
-    }
+    for (const FaultSite& s : target.sites) schedule.push_back({s.task, s.bit});
     errno_injector_->arm(std::move(schedule));
     return;
   }
@@ -280,21 +286,11 @@ void ExperimentRunner::arm(Run& run) {
     case CampaignKind::kStack:
     case CampaignKind::kRegister:
       run.pending_deferred = true;
-      run.inject_at = run.start + static_cast<u64>(target.inject_at_frac *
-                                                   static_cast<double>(nominal_));
+      run.inject_at = run.at(target.inject_at_frac);
       break;
     case CampaignKind::kErrno:
       break;
   }
-}
-
-u64 ExperimentRunner::next_stop(const Run& run) const {
-  u64 stop = run.budget_end;
-  if (run.pending_deferred) stop = std::min(stop, run.inject_at);
-  if (run.rate_mode && run.next_site < run.target.sites.size()) {
-    stop = std::min(stop, site_cycle(run, run.target.sites[run.next_site]));
-  }
-  return stop;
 }
 
 bool ExperimentRunner::on_cycle_stop(Run& run) {
@@ -333,9 +329,9 @@ bool ExperimentRunner::on_cycle_stop(Run& run) {
     return true;
   }
   if (run.rate_mode && run.next_site < target.sites.size() &&
-      cpu.cycles() >= site_cycle(run, target.sites[run.next_site])) {
+      cpu.cycles() >= run.at(target.sites[run.next_site].at_frac)) {
     while (run.next_site < target.sites.size() &&
-           cpu.cycles() >= site_cycle(run, target.sites[run.next_site])) {
+           cpu.cycles() >= run.at(target.sites[run.next_site].at_frac)) {
       const FaultSite& s = target.sites[run.next_site++];
       if (apply_rate_site(target, s, record)) {
         run.rate_applied_any = true;
@@ -457,6 +453,7 @@ InjectionRecord ExperimentRunner::run_one(const InjectionTarget& target,
   Run run(target);
   run.errno_run = target.kind == CampaignKind::kErrno;
   run.rate_mode = !run.errno_run && model_.trigger == FaultTrigger::kRate;
+  run.nominal = nominal_;
   InjectionRecord& record = run.record;
 
   reboot();  // fresh boot state for every experiment
@@ -481,7 +478,7 @@ InjectionRecord ExperimentRunner::run_one(const InjectionTarget& target,
 
     bool syscall_done = false;
     while (!syscall_done && !record.crashed && !run.hang) {
-      const Event ev = machine_.run(next_stop(run));
+      const Event ev = machine_.run(run.next_stop());
       switch (ev.kind) {
         case EventKind::kCycleStop:
           run.hang = !on_cycle_stop(run);

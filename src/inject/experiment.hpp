@@ -128,10 +128,6 @@ class ExperimentRunner {
   /// breakpoint, the deferred stack/register injection, or the errno
   /// schedule.  Rate-triggered runs arm nothing.
   void arm(Run& run);
-  /// The cycle the next Machine::run slice stops at: the hang budget, or
-  /// an earlier deferred-injection or rate-site cycle.
-  u64 next_stop(const Run& run) const;
-  u64 site_cycle(const Run& run, const FaultSite& site) const;
   /// A cycle stop: inject whatever is due and return true, or return
   /// false when nothing was (the hang budget ran out).
   bool on_cycle_stop(Run& run);

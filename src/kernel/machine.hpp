@@ -145,8 +145,8 @@ class Machine {
   /// fresh memory image.  Outside the reference configuration the worker
   /// starts with ZERO private pages — every page aliases the donor's
   /// shared snapshot buffer — which is what makes a 64-worker engine's
-  /// resident memory sublinear in the worker count.  The snapshot must come from a machine built on the
-  /// same image with the same options.
+  /// resident memory sublinear in the worker count.  The snapshot must
+  /// come from a machine built on the same image with the same options.
   Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
           const MachineSnapshot& boot_snap);
   ~Machine();

@@ -108,6 +108,35 @@ INSTANTIATE_TEST_SUITE_P(BothArches, FabricChaosTest,
                                       : std::string("riscf");
                          });
 
+// Spin-loop fast-forwards happen inside the workers, and their DONE
+// frames carry the counts back: a fresh fabric run reports the totals the
+// in-process run does.  The seed-1 code sample holds a spin hang (riscf
+// index 30).
+TEST(FabricSpinCounters, FreshRunReportsTheInProcessTotals) {
+  CampaignSpec spec;
+  spec.arch = isa::Arch::kRiscf;
+  spec.kind = CampaignKind::kCode;
+  spec.injections = 48;
+  spec.seed = 1;
+  const CampaignPlan plan = build_campaign_plan(spec);
+  const u32 total = static_cast<u32>(plan.targets.size());
+  const CampaignResult local = inject::CampaignEngine(1).run(plan);
+  ASSERT_GT(local.throughput.spin_skips, 0u);
+
+  FabricOptions opt = base_options("spin");
+  opt.workers = 2;
+  FabricCoordinator coordinator(opt);
+  remove_shards(coordinator, total);
+  const CampaignResult result = coordinator.run(plan);
+
+  EXPECT_EQ(inject::result_fingerprint(result),
+            inject::result_fingerprint(local));
+  EXPECT_EQ(result.throughput.spin_skips, local.throughput.spin_skips);
+  EXPECT_EQ(result.throughput.spin_skipped_cycles,
+            local.throughput.spin_skipped_cycles);
+  remove_shards(coordinator, total);
+}
+
 TEST(FabricDegradation, AbortsBelowMinWorkersThenResumesBitIdentically) {
   const CampaignPlan plan =
       build_campaign_plan(pinned_spec(isa::Arch::kCisca));

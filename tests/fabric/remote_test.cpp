@@ -192,6 +192,34 @@ TEST_P(RemoteLoopbackTest, TwoDaemonsReproduceThePinnedFingerprint) {
   remove_shards(coordinator, total);
 }
 
+// The daemons' DONE frames carry the spin-loop fast-forwards their shard
+// runs took: a fresh loopback run of a code sample holding a spin hang
+// (riscf index 30 of the seed-1 sample) reports the in-process totals.
+TEST(RemoteSpinCounters, FreshRunReportsTheInProcessTotals) {
+  CampaignSpec spec = pinned_spec(isa::Arch::kRiscf, 48);
+  spec.kind = CampaignKind::kCode;
+  spec.seed = 1;
+  const CampaignPlan plan = build_campaign_plan(spec);
+  const u32 total = static_cast<u32>(plan.targets.size());
+  const CampaignResult local = inject::CampaignEngine(1).run(plan);
+  ASSERT_GT(local.throughput.spin_skips, 0u);
+
+  Daemon d1("spin1");
+  Daemon d2("spin2");
+  ASSERT_GT(d1.port(), 0);
+  ASSERT_GT(d2.port(), 0);
+  RemoteCoordinator coordinator(base_options("spin", {&d1, &d2}));
+  remove_shards(coordinator, total);
+  const CampaignResult result = coordinator.run(plan);
+
+  EXPECT_EQ(inject::result_fingerprint(result),
+            inject::result_fingerprint(local));
+  EXPECT_EQ(result.throughput.spin_skips, local.throughput.spin_skips);
+  EXPECT_EQ(result.throughput.spin_skipped_cycles,
+            local.throughput.spin_skipped_cycles);
+  remove_shards(coordinator, total);
+}
+
 TEST(RemoteReuse, BackToBackRunsOnTheSameDaemonsSeeNoDeaths) {
   // A finished session releases its (plan, shard) before the journal goes
   // out and its heartbeat stops at once, so rerunning the same plan on the

@@ -70,7 +70,7 @@
 //
 // --trace runs the campaign with the error-propagation trace subsystem
 // attached: every record carries a PropagationSummary, the report gains a
-// propagation segment, and journals persist the summaries (format v2).
+// propagation segment, and journals persist the summaries.
 // Observational — the result fingerprint matches an untraced run.
 // --trace-out CSV (implies --trace) additionally writes one propagation
 // row per traced record.

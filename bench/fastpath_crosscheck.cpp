@@ -1,12 +1,13 @@
-// Fast-path cross-check: the production machine configuration (decode
-// cache, superblocks with spin-loop fast-forward, dirty-page reboot,
+// Fast-path cross-check: the production machine configuration
+// (superblocks with spin-loop fast-forward, dirty-page reboot,
 // copy-on-write pages) is a pure speedup over the plain reference
 // configuration (kernel::MachineOptions::reference: single-step decode
 // from memory, full-copy reboot, every page private), so a campaign must
 // merge to the bit-identical result under both.  This is the acceptance
 // gate for every hot-loop optimization: one frozen plan per case,
 // executed under both configurations, compared through
-// inject::result_fingerprint.  Exits non-zero on any divergence.
+// inject::result_fingerprint and, record by record, through
+// inject::unfingerprinted_difference.  Exits non-zero on any divergence.
 //
 // Cases, on both arches: every campaign kind (errno included), a two-bit
 // data shape and a stack rate trigger, each for three seeds; then the
@@ -102,7 +103,17 @@ int main() {
         inject::CampaignEngine(jobs).run(reference_plan);
     const u64 fp = inject::result_fingerprint(production);
     const u64 ref_fp = inject::result_fingerprint(reference);
-    const bool same = fp == ref_fp;
+    // The fingerprint leaves some record fields out; compare those too.
+    // Both results hold one record per target of the same plan.
+    std::string differing;
+    for (size_t i = 0; i < production.records.size(); ++i) {
+      const std::string field = inject::unfingerprinted_difference(
+          production.records[i], reference.records[i]);
+      if (field.empty()) continue;
+      differing = "record " + std::to_string(i) + " differs in " + field;
+      break;
+    }
+    const bool same = fp == ref_fp && differing.empty();
     const bool skipped = production.throughput.spin_skips > 0 &&
                          reference.throughput.spin_skips == 0;
     std::printf("%s %-11s seed=%-2" PRIu64 " n=%-3u result fingerprint: "
@@ -124,6 +135,9 @@ int main() {
                    " vs reference %016" PRIx64 ")\n",
                    isa::arch_name(c.spec.arch).c_str(), c.name.c_str(),
                    c.spec.seed, fp, ref_fp);
+      if (!differing.empty()) {
+        std::fprintf(stderr, "FATAL: %s\n", differing.c_str());
+      }
     }
     if (c.expect_spin_skips && !skipped) {
       ok = false;

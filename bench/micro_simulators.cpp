@@ -117,10 +117,10 @@ void BM_RawInstructionRate(benchmark::State& state) {
   // instructions per wall second via cycle deltas (cycles ~ instructions
   // within a few percent for this code).  arg1 selects the reference
   // configuration (single-step decode from memory) against production
-  // (decode cache + superblocks), so their ratio is the fast paths'
-  // speedup.  Production runs report hit rates, mean block length, and
-  // blocks invalidated (non-zero = restores/stores touched cached code
-  // and were caught).
+  // (superblocks), so their ratio is the fast paths' speedup.  Production
+  // runs report the block hit rate, mean block length, and blocks
+  // invalidated (non-zero = restores/stores touched cached code and were
+  // caught).
   kernel::MachineOptions opts;
   opts.reference = state.range(1) != 0;
   kernel::Machine machine(arch_of(state), opts);
@@ -137,10 +137,6 @@ void BM_RawInstructionRate(benchmark::State& state) {
   }
   state.counters["sim_cycles/s"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
-  const isa::DecodeCacheStats stats = machine.cpu().decode_cache_stats();
-  state.counters["dcache_hit_rate"] = stats.hit_rate();
-  state.counters["dcache_invalidations"] =
-      static_cast<double>(stats.invalidations);
   const isa::SuperblockStats sb = machine.cpu().superblock_stats();
   state.counters["sb_hit_rate"] = sb.hit_rate();
   state.counters["sb_mean_block_len"] = sb.mean_block_len();

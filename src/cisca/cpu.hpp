@@ -68,9 +68,6 @@ class CiscaCpu final : public isa::CpuCore {
   void restore(const isa::CpuSnapshot& snap) override;
   bool registers_equal(const isa::CpuSnapshot& snap) const override;
   void set_fast_paths(bool enabled) override;
-  isa::DecodeCacheStats decode_cache_stats() const override {
-    return dcache_stats_;
-  }
   isa::StepResult step_block(const isa::BlockLimits& limits,
                              u64* consumed) override;
   isa::SuperblockStats superblock_stats() const override { return sb_stats_; }
@@ -103,9 +100,9 @@ class CiscaCpu final : public isa::CpuCore {
   /// address of the first byte.  A block never leaves its first physical
   /// page (each member instruction's full decode window must fit in the
   /// page, so re-aligned corrupted streams still decode identically), and
-  /// is valid only while that page's write version is unchanged — the
-  /// same lazy invalidation as the decode cache, so stores, injected
-  /// flips, and reboots into cached code force a rebuild.
+  /// is valid only while that page's write version is unchanged, so
+  /// stores, injected flips, and reboots into cached code force a
+  /// rebuild lazily, with no store-side hooks.
   struct BlockInsn {
     Insn insn{};
     void (*fn)(CiscaCpu&, const Insn&) = nullptr;
@@ -126,28 +123,6 @@ class CiscaCpu final : public isa::CpuCore {
   /// first instruction) and the caller must single-step.
   bool build_block(Superblock& blk, Addr vpc, u32 phys0);
   static bool block_terminator(const Insn& insn);
-
-  /// Predecoded-instruction cache: direct-mapped on the physical address
-  /// of the first instruction byte.  An entry is valid only while the
-  /// write versions of every page it decoded from are unchanged (variable-
-  /// length instructions can straddle two non-contiguous physical pages),
-  /// so any store, injected flip, or reboot that touches cached code makes
-  /// the entry re-decode — exactly the invalidation hardware trace caches
-  /// need, done lazily with no store-side hooks.
-  struct DecodeCacheEntry {
-    u32 tag = kNoPage;    // physical address of the first byte
-    Addr vpc = 0;         // virtual pc (guards against phys aliasing)
-    u32 page2 = kNoPage;  // second physical page, when straddling
-    u64 ver1 = 0;
-    u64 ver2 = 0;
-    DecodeResult dec{};
-    u8 byte0 = 0;  // first window byte (the #UD aux on invalid opcodes)
-  };
-  static constexpr u32 kDecodeCacheEntries = 4096;
-
-  /// Fetch + decode at `pc`, through the cache when enabled.  The returned
-  /// reference is valid until the next call.
-  const DecodeCacheEntry& decode_cached(Addr pc);
 
   /// The register file as the snapshot's word list, in snapshot order.
   static constexpr u32 kSnapshotWords = 28;
@@ -198,9 +173,6 @@ class CiscaCpu final : public isa::CpuCore {
   Addr stack_lo_ = 0, stack_hi_ = 0;
   bool halted_pending_ = false;
   bool fast_paths_ = false;
-  std::vector<DecodeCacheEntry> dcache_;  // allocated with the fast paths
-  DecodeCacheEntry dcache_scratch_;       // uncacheable results
-  isa::DecodeCacheStats dcache_stats_;
   std::vector<Superblock> sblocks_;  // allocated with the fast paths
   isa::SuperblockStats sb_stats_;
   std::unique_ptr<CiscaSysRegs> sysregs_;

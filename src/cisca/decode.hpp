@@ -25,7 +25,7 @@ namespace kfi::cisca {
 /// prefix + opcode(2) + modrm + sib + disp32 + imm32 = 1+2+1+1+4+4 = 13.
 constexpr u32 kMaxInsnBytes = 13;
 
-/// Sentinel for "no physical page" in FetchWindow / the decode cache.
+/// Sentinel for "no physical page" in FetchWindow and the superblock cache.
 constexpr u32 kNoPage = 0xFFFFFFFFu;
 
 struct FetchWindow {
@@ -34,8 +34,8 @@ struct FetchWindow {
   Addr pc = 0;
   /// Physical address of bytes[0] (kNoPage if pc is unfetchable) and the
   /// second physical page index when the window straddles a page boundary.
-  /// The decode cache validates entries against these pages' write
-  /// versions; pages are not physically contiguous, so both are recorded.
+  /// Pages are not physically contiguous, so both are recorded: the
+  /// fetch trace hook reports the instruction's bytes in each.
   u32 phys = kNoPage;
   u32 phys_page2 = kNoPage;
 };

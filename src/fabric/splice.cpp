@@ -3,6 +3,7 @@
 #include <fstream>
 #include <optional>
 
+#include "inject/campaign.hpp"
 #include "inject/plan.hpp"
 
 namespace kfi::fabric {
@@ -15,37 +16,14 @@ namespace {
 /// (plan, index)); observational blocks (propagation) are deliberately
 /// excluded so a traced and an untraced worker's records still splice.
 u64 entry_core_digest(const inject::JournalEntry& e) {
-  u64 h = 0xcbf29ce484222325ull;
-  auto mix = [&h](u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ull;
-    }
-  };
-  const inject::InjectionRecord& r = e.record;
-  mix(e.index);
-  mix(static_cast<u64>(r.outcome));
-  mix(r.activated ? 1 : 0);
-  mix(r.activation_cycle);
-  mix(r.latency_base_cycle);
-  mix(r.cycles_to_crash);
-  mix(r.crashed ? 1 : 0);
-  mix(r.crash_report_received ? 1 : 0);
-  mix(static_cast<u64>(r.crash.cause));
-  mix(r.crash.pc);
-  mix(r.syscalls_completed);
-  if (r.cascade_valid) {
-    mix(0xCA5CADEull);
-    mix(r.cascade.forced);
-    mix(r.cascade.deviating_ops);
-    mix(r.cascade.cascade_length);
-    mix(static_cast<u64>(r.cascade.containment));
-  }
-  mix(e.reboots);
-  mix(e.datagrams_sent);
-  mix(e.datagrams_dropped);
-  mix(e.simulated_cycles);
-  return h;
+  inject::Fnv64 fnv;
+  fnv.mix(e.index);
+  inject::mix_record(fnv, e.record);
+  fnv.mix(e.reboots);
+  fnv.mix(e.datagrams_sent);
+  fnv.mix(e.datagrams_dropped);
+  fnv.mix(e.simulated_cycles);
+  return fnv.h;
 }
 
 bool is_quarantined(const inject::JournalEntry& e) {

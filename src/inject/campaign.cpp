@@ -47,48 +47,54 @@ std::vector<InjectionRecord> completed_records(const CampaignResult& result) {
   return out;
 }
 
-u64 result_fingerprint(const CampaignResult& result) {
-  u64 h = 0xcbf29ce484222325ull;
-  auto mix = [&h](u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(result.nominal_cycles);
-  mix(result.reboots);
-  mix(result.datagrams_sent);
-  mix(result.datagrams_dropped);
-  for (const auto& r : result.records) {
-    mix(static_cast<u64>(r.outcome));
-    mix(r.activated ? 1 : 0);
-    mix(r.activation_cycle);
-    mix(r.latency_base_cycle);
-    mix(r.cycles_to_crash);
-    mix(r.crashed ? 1 : 0);
-    mix(r.crash_report_received ? 1 : 0);
-    mix(static_cast<u64>(r.crash.cause));
-    mix(r.crash.pc);
-    mix(r.syscalls_completed);
-    if (r.cascade_valid) {
-      // The cascade digest is part of an errno campaign's result (unlike
-      // the observational propagation block).  Physical campaigns never
-      // set cascade_valid, so their fingerprints are byte-identical to
-      // pre-errno builds.
-      mix(0xCA5CADEull);  // domain separator
-      mix(r.cascade.forced);
-      mix(r.cascade.first_forced_op);
-      mix(r.cascade.first_forced_syscall);
-      mix(r.cascade.natural_ret);
-      mix(r.cascade.forced_ret);
-      mix(r.cascade.deviating_ops);
-      mix(r.cascade.cascade_length);
-      mix(static_cast<u64>(r.cascade.containment));
-      mix(r.cascade.checked_at_site ? 1 : 0);
-      mix(r.cascade.state_deviation ? 1 : 0);
-    }
+void mix_record(Fnv64& fnv, const InjectionRecord& r) {
+  fnv.mix(static_cast<u64>(r.outcome));
+  fnv.mix(r.activated ? 1 : 0);
+  fnv.mix(r.activation_cycle);
+  fnv.mix(r.latency_base_cycle);
+  fnv.mix(r.cycles_to_crash);
+  fnv.mix(r.crashed ? 1 : 0);
+  fnv.mix(r.crash_report_received ? 1 : 0);
+  fnv.mix(static_cast<u64>(r.crash.cause));
+  fnv.mix(r.crash.pc);
+  fnv.mix(r.syscalls_completed);
+  if (r.cascade_valid) {
+    // The cascade digest is part of an errno campaign's result (unlike
+    // the observational propagation block).  Physical campaigns never
+    // set cascade_valid, so their fingerprints are byte-identical to
+    // pre-errno builds.
+    fnv.mix(0xCA5CADEull);  // domain separator
+    fnv.mix(r.cascade.forced);
+    fnv.mix(r.cascade.first_forced_op);
+    fnv.mix(r.cascade.first_forced_syscall);
+    fnv.mix(r.cascade.natural_ret);
+    fnv.mix(r.cascade.forced_ret);
+    fnv.mix(r.cascade.deviating_ops);
+    fnv.mix(r.cascade.cascade_length);
+    fnv.mix(static_cast<u64>(r.cascade.containment));
+    fnv.mix(r.cascade.checked_at_site ? 1 : 0);
+    fnv.mix(r.cascade.state_deviation ? 1 : 0);
   }
-  return h;
+}
+
+u64 result_fingerprint(const CampaignResult& result) {
+  Fnv64 fnv;
+  fnv.mix(result.nominal_cycles);
+  fnv.mix(result.reboots);
+  fnv.mix(result.datagrams_sent);
+  fnv.mix(result.datagrams_dropped);
+  for (const auto& r : result.records) mix_record(fnv, r);
+  return fnv.h;
+}
+
+std::string unfingerprinted_difference(const InjectionRecord& a,
+                                       const InjectionRecord& b) {
+  if (!(a.target == b.target)) return "target";
+  if (a.activation_known != b.activation_known) return "activation_known";
+  if (a.crash.addr != b.crash.addr) return "crash.addr";
+  if (a.crash.has_addr != b.crash.has_addr) return "crash.has_addr";
+  if (a.crash.detail != b.crash.detail) return "crash.detail";
+  return "";
 }
 
 }  // namespace kfi::inject

@@ -45,11 +45,37 @@ InjectionRecord run_single_injection(kernel::Machine& machine,
 /// this is simply a copy of result.records.
 std::vector<InjectionRecord> completed_records(const CampaignResult& result);
 
+/// Running FNV-1a over little-endian u64 words: the hash behind
+/// result_fingerprint and the fabric splice's per-entry digest.
+struct Fnv64 {
+  u64 h = 0xcbf29ce484222325ull;
+  void mix(u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Mix the fields of one record that result_fingerprint covers: the
+/// outcome, activation, crash cause and pc, latencies, syscall count and
+/// (for errno campaigns) the whole cascade digest.
+void mix_record(Fnv64& fnv, const InjectionRecord& r);
+
 /// FNV-1a over every determinism-relevant field of a merged campaign
 /// result.  Two results with equal fingerprints ran bit-identically; the
 /// scaling bench, the fast-path cross-check, and CI all compare campaigns
-/// through this one function (jobs counts, decode cache on/off, fast vs
-/// full-copy reboot).
+/// through this one function (jobs counts, production vs reference
+/// machine configuration).
 u64 result_fingerprint(const CampaignResult& result);
+
+/// Name of the first record field result_fingerprint leaves out on which
+/// `a` and `b` differ ("target", "activation_known", "crash.addr",
+/// "crash.has_addr", "crash.detail"), or "" when they agree.  The
+/// fast-path cross-checks compare every record through this as well as
+/// the fingerprint, so a fault shape or crash address a fast path changed
+/// cannot hide behind an equal hash.
+std::string unfingerprinted_difference(const InjectionRecord& a,
+                                       const InjectionRecord& b);
 
 }  // namespace kfi::inject

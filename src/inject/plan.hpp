@@ -87,9 +87,9 @@ kernel::MachineOptions campaign_machine_options(const CampaignSpec& spec);
 /// (including the semantics-affecting machine options), the calibration
 /// results, and all pre-generated targets and per-run seeds.  The
 /// injection journal stamps this into its header so a resume can refuse a
-/// journal written for a different campaign.  The bit-exact perf knobs
-/// (decode cache, fast reboot) are deliberately excluded: a journal may
-/// be resumed with either setting.
+/// journal written for a different campaign.  The bit-exact machine
+/// configuration (MachineOptions::reference) is deliberately excluded: a
+/// journal may be resumed under either.
 u64 plan_fingerprint(const CampaignPlan& plan);
 
 }  // namespace kfi::inject

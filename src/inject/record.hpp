@@ -53,6 +53,8 @@ struct FaultSite {
   /// Rate-triggered models: when this site's fault event fires, as a
   /// fraction of the nominal run length.  Sites are kept sorted by this.
   double at_frac = 0.0;
+
+  bool operator==(const FaultSite&) const = default;
 };
 
 /// One pre-generated injection target (STEP 1 of the paper's Figure 2):
@@ -103,6 +105,8 @@ struct InjectionTarget {
   /// Rate-triggered errno targets append more sites (sorted, unique
   /// invocation indices); a Poisson draw of 0 leaves `sites` empty.
   static InjectionTarget errno_return(u32 invocation, u32 ret);
+
+  bool operator==(const InjectionTarget&) const = default;
 };
 
 /// The pre-FaultModel flat view of a target: the 15 per-kind fields the

@@ -24,21 +24,6 @@ struct CpuSnapshot {
   u64 cycles = 0;
 };
 
-/// Counters for the per-CPU predecoded-instruction cache.
-struct DecodeCacheStats {
-  u64 hits = 0;
-  u64 misses = 0;
-  /// Tag matched but a page write-version moved: a store / injected flip /
-  /// reboot rewrote cached code and the entry was re-decoded.
-  u64 invalidations = 0;
-
-  double hit_rate() const {
-    const u64 total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                  static_cast<double>(total);
-  }
-};
-
 /// Bounds one superblock dispatch so multi-instruction execution can never
 /// overshoot an event the machine loop would have delivered between single
 /// steps (stop_cycles, timer delivery, rate-mode firing cycles, harness
@@ -106,10 +91,8 @@ class CpuCore {
 
   /// True when the registers equal `snap`'s (its cycle count aside).
   /// Allocation-free: the machine's spin-loop detector calls it at block
-  /// starts.  Default: never equal, so nothing is ever fast-forwarded.
-  virtual bool registers_equal(const CpuSnapshot& /*snap*/) const {
-    return false;
-  }
+  /// starts.
+  virtual bool registers_equal(const CpuSnapshot& snap) const = 0;
 
   /// Instructions executed so far that copied the cycle counter into
   /// architectural state (riscf mftb).  A loop that reads the clock is
@@ -121,24 +104,19 @@ class CpuCore {
   /// sink.  Hook sites are guarded null checks, so execution — cycle
   /// counts, memory traffic, RNG draws — is bit-identical with or without
   /// a sink attached (the campaign fingerprint cross-checks enforce it).
-  /// Default: tracing unsupported, attach is a no-op.
-  virtual void set_trace_sink(trace::TraceSink* /*sink*/) {}
+  virtual void set_trace_sink(trace::TraceSink* sink) = 0;
 
   /// Trace register slot backing system-register bank index `index`, or
   /// trace::kNoSlot when that bank member is not shadowed.  Lets the
   /// injector seed taint at the exact register it flipped.
-  virtual trace::RegSlot sysreg_slot(u32 /*index*/) const {
-    return trace::kNoSlot;
-  }
+  virtual trace::RegSlot sysreg_slot(u32 index) const = 0;
 
-  /// Hot-loop fast paths: the predecoded-instruction cache and superblock
-  /// execution (step_block), both on or both off.  They are bit-exact —
-  /// they only skip re-decoding bytes proven unchanged via page write
-  /// versions — so toggling them must never alter execution, a property
-  /// the campaign fingerprint cross-checks enforce.  Off (the default)
-  /// decodes every instruction straight from memory.
-  virtual void set_fast_paths(bool /*enabled*/) {}
-  virtual DecodeCacheStats decode_cache_stats() const { return {}; }
+  /// Superblock execution (step_block), the hot-loop fast path.  It is
+  /// bit-exact — blocks are predecoded once and re-decoded whenever a
+  /// page write version proves their bytes changed — so toggling it must
+  /// never alter execution, a property the campaign fingerprint
+  /// cross-checks enforce.  step() always decodes straight from memory.
+  virtual void set_fast_paths(bool enabled) = 0;
 
   /// Execute a superblock: a cached straight-line run of predecoded
   /// instructions starting at the current pc, dispatched through per-op
@@ -149,14 +127,9 @@ class CpuCore {
   /// machine-loop iterations the dispatch stands for (executed
   /// instructions, plus one for a trap or breakpoint stop — exactly what
   /// a step() would have charged against a harness step budget).
-  /// Single steps while the fast paths are off.  Default: superblocks
-  /// unsupported, single step.
-  virtual StepResult step_block(const BlockLimits& /*limits*/,
-                                u64* consumed) {
-    *consumed = 1;
-    return step();
-  }
-  virtual SuperblockStats superblock_stats() const { return {}; }
+  /// Single steps while the fast paths are off.
+  virtual StepResult step_block(const BlockLimits& limits, u64* consumed) = 0;
+  virtual SuperblockStats superblock_stats() const = 0;
 };
 
 }  // namespace kfi::isa

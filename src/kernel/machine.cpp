@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "cisca/cpu.hpp"
 #include "cisca/regs.hpp"
@@ -24,15 +23,6 @@ constexpr u32 kPercpuBase = 0xC0003000u;
 constexpr u64 kSpinGateBlocks = u64{1} << 14;
 /// Most pages a period may rewrite and still be proven to repeat.
 constexpr size_t kSpinMaxPages = 8;
-
-/// Map from pc to function index, built once per machine for profiling.
-std::unordered_map<Addr, u32> build_entry_map(const kir::Image& image) {
-  std::unordered_map<Addr, u32> map;
-  for (u32 i = 0; i < image.functions.size(); ++i) {
-    map[image.functions[i].addr] = i;
-  }
-  return map;
-}
 
 }  // namespace
 
@@ -96,7 +86,6 @@ Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
     cisca_cpu_->set_stack_bounds(
         kStackRegion, kStackRegion + kNumTasks * stack_slot(arch_));
   }
-  profile_counts_.assign(image_->functions.size(), 0);
   boot_snapshot_ = boot_snap;
   restore(boot_snap);
   if (riscf_cpu_ != nullptr) {
@@ -125,7 +114,6 @@ void Machine::init_cpu() {
   }
   cpu_->set_fast_paths(!options_.reference);
   space_.phys().set_cow_enabled(!options_.reference);
-  entry_map_ = build_entry_map(*image_);
 }
 
 void Machine::map_address_space() {
@@ -199,7 +187,6 @@ void Machine::boot() {
   cpu_->set_pc(glue_addr(kGlueSyscallReturn));
 
   next_timer_ = options_.timer_period;
-  profile_counts_.assign(image_->functions.size(), 0);
 
   boot_snapshot_ = snapshot();
 }
@@ -279,8 +266,6 @@ Addr Machine::global_field_addr(const std::string& object, u32 index,
 }
 
 u32 Machine::current_task() const { return space_.vread32(current_addr_); }
-
-void Machine::set_profiling(bool enabled) { profiling_ = enabled; }
 
 void Machine::set_trace_sink(trace::TraceSink* sink) {
   trace_ = sink;
@@ -698,7 +683,7 @@ bool Machine::spin_eligible() {
   // Anything that watches single instructions, or ends a run somewhere
   // other than at a cycle, would notice the skipped periods.
   isa::DebugUnit& debug = cpu_->debug();
-  return trace_ == nullptr && !profiling_ && !debug.insn_bp_armed() &&
+  return trace_ == nullptr && !debug.insn_bp_armed() &&
          !debug.data_bp_any() &&
          (harness_interrupt_ == nullptr ||
           harness_interrupt_->step_budget == 0);
@@ -856,13 +841,8 @@ Event Machine::run(u64 stop_cycles) {
     maybe_deliver_timer();
     if (fatal_pending_) continue;
 
-    if (profiling_) {
-      const auto it = entry_map_.find(cpu_->pc());
-      if (it != entry_map_.end()) profile_counts_[it->second] += 1;
-    }
-
     isa::StepResult sr;
-    if (!options_.reference && !profiling_) {
+    if (!options_.reference) {
       // A state equal to one saved earlier in this call repeats forever
       // (barring cycle-driven events): skip whole periods, then re-check
       // the stop and the timer at the cycle they were skipped to.
@@ -1068,7 +1048,6 @@ void Machine::restore(const MachineSnapshot& snap) {
   pending_user_ticks_ = 0;
   syscall_active_ = false;
   fatal_pending_.reset();
-  std::fill(profile_counts_.begin(), profile_counts_.end(), 0);
 }
 
 }  // namespace kfi::kernel

@@ -23,7 +23,6 @@
 #include <memory>
 #include <optional>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -103,13 +102,13 @@ struct MachineOptions {
   /// Seed for runtime jitter (user time, exception-stage costs).
   u64 seed = 0x1234;
   /// Run the plain reference configuration: single-step decode straight
-  /// from memory (no predecoded-instruction cache, no superblocks, so no
-  /// spin-loop fast-forward), full-copy snapshot restores, and every page
-  /// private.  False (the default) is the production configuration: the
-  /// decode and superblock caches, dirty-page restores and copy-on-write
-  /// page sharing.  The two are bit-exact: results must not change with
-  /// this set (the fingerprint cross-checks enforce it); the reference
-  /// exists only to be compared against and to measure the speedups.
+  /// from memory (no superblocks, so no spin-loop fast-forward),
+  /// full-copy snapshot restores, and every page private.  False (the
+  /// default) is the production configuration: superblocks, dirty-page
+  /// restores and copy-on-write page sharing.  The two are bit-exact:
+  /// results must not change with this set (the fingerprint cross-checks
+  /// enforce it); the reference exists only to be compared against and
+  /// to measure the speedups.
   bool reference = false;
 };
 
@@ -172,8 +171,8 @@ class Machine {
   /// identical machine state is in a periodic orbit, and run() skips the
   /// whole periods left before the next cycle-driven event, charging
   /// their cycles: the result is the cycle-exact state the simulation
-  /// would have reached (DESIGN §10).  Never with a trace sink,
-  /// profiling, an armed breakpoint, or a harness step budget.
+  /// would have reached (DESIGN §10).  Never with a trace sink, an armed
+  /// breakpoint, or a harness step budget.
   Event run(u64 stop_cycles = 0);
 
   bool idle() const { return !syscall_active_ && glue_stack_.empty(); }
@@ -223,10 +222,6 @@ class Machine {
     return stack_base(arch_, task);
   }
   Addr task_stack_top(u32 task) const { return stack_top(arch_, task); }
-
-  /// Per-function entry counters (enable before running a profile pass).
-  void set_profiling(bool enabled);
-  const std::vector<u64>& profile_counts() const { return profile_counts_; }
 
   /// Non-const: taking a snapshot (re)establishes the memory's dirty-page
   /// restore baseline.
@@ -300,7 +295,6 @@ class Machine {
   cisca::CiscaCpu* cisca_cpu_ = nullptr;  // set when arch == kCisca
   riscf::RiscfCpu* riscf_cpu_ = nullptr;  // set when arch == kRiscf
   std::unique_ptr<kir::Backend> helper_backend_;  // prepare_initial_stack
-  std::unordered_map<Addr, u32> entry_map_;       // function entry profiling
   Rng rng_;
 
   // Cached symbol info.
@@ -317,10 +311,6 @@ class Machine {
   u64 user_cycles_total_ = 0;
   u32 expected_sprg2_ = 0;
   std::optional<isa::Trap> fatal_pending_;  // raised by runtime glue
-
-  // Profiling.
-  bool profiling_ = false;
-  std::vector<u64> profile_counts_;
 
   HarnessInterrupt* harness_interrupt_ = nullptr;
   trace::TraceSink* trace_ = nullptr;

@@ -233,36 +233,9 @@ Insn RiscfCpu::decode_at(Addr pc) const {
 
 void RiscfCpu::set_fast_paths(bool enabled) {
   fast_paths_ = enabled;
-  dcache_.clear();
-  dcache_.shrink_to_fit();
   sblocks_.clear();
   sblocks_.shrink_to_fit();
-  if (enabled) {
-    dcache_.resize(kDecodeCacheEntries);
-    sblocks_.resize(kSuperblockEntries);
-  }
-}
-
-const Insn& RiscfCpu::decode_cached(u32 phys) {
-  const mem::PhysicalMemory& pm = space_.phys();
-  if (!fast_paths_) {
-    dcache_scratch_ = decode(pm.read32(phys, mem::Endian::kBig));
-    return dcache_scratch_;
-  }
-  DecodeCacheEntry& entry = dcache_[(phys >> 2) & (kDecodeCacheEntries - 1)];
-  const u64 ver = pm.page_version(phys >> mem::kPageShift);
-  if (entry.tag == phys) {
-    if (entry.ver == ver) {
-      ++dcache_stats_.hits;
-      return entry.insn;
-    }
-    ++dcache_stats_.invalidations;
-  }
-  ++dcache_stats_.misses;
-  entry.tag = phys;
-  entry.ver = ver;
-  entry.insn = decode(pm.read32(phys, mem::Endian::kBig));
-  return entry.insn;
+  if (enabled) sblocks_.resize(kSuperblockEntries);
 }
 
 isa::StepResult RiscfCpu::step() {
@@ -286,7 +259,8 @@ isa::StepResult RiscfCpu::step() {
       }
       raise(Cause::kInstrStorage, regs_.pc, true);
     }
-    const Insn& insn = decode_cached(tr.phys);
+    const Insn insn =
+        decode(space_.phys().read32(tr.phys, mem::Endian::kBig));
     if (insn.op == Op::kInvalid) {
       raise(Cause::kIllegalInstruction, 0, false, insn.raw);
     }

@@ -51,9 +51,6 @@ class RiscfCpu final : public isa::CpuCore {
   bool registers_equal(const isa::CpuSnapshot& snap) const override;
   u64 cycle_reads() const override { return cycle_reads_; }
   void set_fast_paths(bool enabled) override;
-  isa::DecodeCacheStats decode_cache_stats() const override {
-    return dcache_stats_;
-  }
   isa::StepResult step_block(const isa::BlockLimits& limits,
                              u64* consumed) override;
   isa::SuperblockStats superblock_stats() const override { return sb_stats_; }
@@ -111,22 +108,6 @@ class RiscfCpu final : public isa::CpuCore {
   bool build_block(Superblock& blk, Addr vpc, u32 phys0);
   static bool block_terminator(const Insn& insn);
 
-  /// Predecoded-instruction cache: direct-mapped on the physical word
-  /// address (instructions are fixed 32-bit and aligned, so one entry
-  /// covers exactly one word in exactly one page).  Entries are validated
-  /// against the page's write version, so stores, injected flips, and
-  /// reboots into cached code force a re-decode.
-  struct DecodeCacheEntry {
-    u32 tag = 0xFFFFFFFFu;  // physical word address (never valid: unaligned)
-    u64 ver = 0;
-    Insn insn{};
-  };
-  static constexpr u32 kDecodeCacheEntries = 8192;
-
-  /// Fetch + decode the word at physical address `phys`, through the
-  /// cache when enabled.  Reference valid until the next call.
-  const Insn& decode_cached(u32 phys);
-
   /// Call f(word) for every snapshot word, in snapshot order: the GPRs,
   /// the named registers, then the inert SPR storage.
   template <class F>
@@ -178,9 +159,6 @@ class RiscfCpu final : public isa::CpuCore {
   trace::TraceSink* sink_ = nullptr;
   std::map<u32, u32> spr_storage_;  // inert supervisor SPRs (BATs, PMCs, ...)
   bool fast_paths_ = false;
-  std::vector<DecodeCacheEntry> dcache_;  // allocated with the fast paths
-  Insn dcache_scratch_{};                 // cache-off path
-  isa::DecodeCacheStats dcache_stats_;
   std::vector<Superblock> sblocks_;  // allocated with the fast paths
   isa::SuperblockStats sb_stats_;
   std::unique_ptr<RiscfSysRegs> sysregs_;

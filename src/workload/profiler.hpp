@@ -1,10 +1,10 @@
 // Kernel profiling (the paper's kernprof step).
 //
-// Runs a workload on a fault-free machine with function-entry counting
-// enabled and reports the most frequently used kernel functions covering
-// at least the requested share of all entries — the paper selected
-// functions representing >= 95% of kernel usage as code-injection targets
-// (Sections 1 and 3.5).
+// Runs a workload on a fault-free machine with a function-entry counting
+// trace sink attached and reports the most frequently used kernel
+// functions covering at least the requested share of all entries — the
+// paper selected functions representing >= 95% of kernel usage as
+// code-injection targets (Sections 1 and 3.5).
 #pragma once
 
 #include <string>
@@ -26,7 +26,9 @@ struct HotFunction {
 
 /// Profile `wl` on a freshly restored machine; returns functions in
 /// descending entry order, truncated at `coverage` cumulative share.
-/// The machine is restored to its boot snapshot before and after.
+/// The machine is restored to its boot snapshot before and after; the
+/// profiler attaches its own trace sink for the run and detaches it, so
+/// the caller must not have one attached.
 std::vector<HotFunction> profile_hot_functions(kernel::Machine& machine,
                                                Workload& wl,
                                                double coverage = 0.95,

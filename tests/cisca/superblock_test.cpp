@@ -44,6 +44,13 @@ struct Rig {
   }
 };
 
+std::vector<u8> immediate_load_program() {
+  Asm a(kCode);
+  a.mov_r_imm(kEax, 1);  // B8 imm32
+  a.hlt();
+  return a.finish();
+}
+
 std::vector<u8> straight_line_program() {
   Asm a(kCode);
   a.mov_r_imm(kEax, 1);  // B8 imm32 at kCode + 0
@@ -113,6 +120,30 @@ TEST(CiscaSuperblockTest, UnmodifiedCodeHitsOnRedispatch) {
   EXPECT_GT(second.hits, first.hits);
   EXPECT_EQ(second.invalidations, 0u);
   EXPECT_GT(second.mean_block_len(), 1.0);
+}
+
+TEST(CiscaSuperblockTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
+  // `mov eax, imm32` (B8, load/store class) with bit 7 of the opcode
+  // flipped becomes `cmp r/m8, r8` (38, ALU class).  Once the mov has
+  // executed it sits in a cached block decoded from its old bytes; the
+  // injector's flip must invalidate the block, or an opclass-targeted
+  // campaign would keep attributing outcomes to the stale class.
+  Rig warm(true);
+  warm.load(immediate_load_program());
+  warm.run();
+  ASSERT_EQ(warm.cpu.regs().gpr[kEax], 1u);
+
+  warm.space.vflip_bit(kCode, 7);  // B8 -> 38
+  const DecodeResult corrupted = warm.cpu.decode_at(kCode);
+  EXPECT_EQ(corrupted.insn.op, Op::kCmp);
+  EXPECT_EQ(opclass(corrupted.insn.op), isa::OpClass::kAlu);
+
+  // Re-execution must go through the corrupted bytes, not the block.
+  warm.cpu.set_pc(kCode);
+  warm.cpu.regs().gpr[kEax] = 0;
+  warm.run();
+  EXPECT_EQ(warm.cpu.regs().gpr[kEax], 0u);  // the mov is gone
+  EXPECT_GE(warm.cpu.superblock_stats().invalidations, 1u);
 }
 
 TEST(CiscaSuperblockTest, BlockDispatchMatchesSingleSteppingInLockstep) {

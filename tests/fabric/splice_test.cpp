@@ -215,6 +215,37 @@ TEST_F(SpliceRulesTest, ConflictingSuccessfulEntriesAreRefused) {
   EXPECT_THROW(splice_journals(plan_, {a, b}), JournalError);
 }
 
+TEST_F(SpliceRulesTest, EntriesDifferingInOneCascadeFieldAreRefused) {
+  // Every cascade field enters the result fingerprint, so two errno
+  // records for one index that differ in any single one of them are two
+  // campaigns, not a duplicate.
+  using Cascade = errnoinj::CascadeSummary;
+  const std::vector<std::pair<std::string, void (*)(Cascade&)>> fields = {
+      {"first_forced_op", [](Cascade& c) { c.first_forced_op = 3; }},
+      {"natural_ret", [](Cascade& c) { c.natural_ret = 5; }},
+      {"forced_ret", [](Cascade& c) { c.forced_ret = 0xFFFFFFF2u; }},
+      {"checked_at_site", [](Cascade& c) { c.checked_at_site = true; }},
+      {"state_deviation", [](Cascade& c) { c.state_deviation = true; }},
+  };
+  for (const auto& [name, change] : fields) {
+    SCOPED_TRACE(name);
+    const std::string a = path("cascade_a_" + name);
+    const std::string b = path("cascade_b_" + name);
+    for (const std::string& p : {a, b}) {
+      std::filesystem::remove(p);
+      InjectionJournal journal = InjectionJournal::create(p, plan_);
+      inject::JournalEntry e;
+      e.index = 0;
+      e.record.outcome = inject::OutcomeCategory::kNotManifested;
+      e.record.cascade_valid = true;
+      e.record.cascade.forced = 1;
+      if (p == b) change(e.record.cascade);
+      journal.append(e);
+    }
+    EXPECT_THROW(splice_journals(plan_, {a, b}), JournalError);
+  }
+}
+
 TEST_F(SpliceRulesTest, ForeignPlanJournalIsRefused) {
   const std::string a = path("foreign");
   CampaignSpec other = small_spec(isa::Arch::kRiscf, 8);

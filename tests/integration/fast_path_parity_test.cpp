@@ -1,10 +1,10 @@
-// The perf fast paths' bit-exactness contract: the predecoded-instruction
-// cache, superblock execution (with its spin-loop fast-forward), the
-// dirty-page reboot, and copy-on-write page sharing are pure speedups.
-// For every arch and campaign kind, a campaign run in the plain reference
-// configuration (all of them off) must produce a bit-identical result —
-// same records, same merged counters — as the production configuration,
-// at any worker count, with tracing on or off.
+// The perf fast paths' bit-exactness contract: superblock execution (with
+// its spin-loop fast-forward), the dirty-page reboot, and copy-on-write
+// page sharing are pure speedups.  For every arch and campaign kind, a
+// campaign run in the plain reference configuration (all of them off)
+// must produce a bit-identical result — same records, field by field,
+// same merged counters — as the production configuration, at any worker
+// count, with tracing on or off.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -60,6 +60,10 @@ TEST_P(FastPathParityTest, FastPathsAreBitExact) {
     EXPECT_EQ(got.records[i].cycles_to_crash,
               baseline.records[i].cycles_to_crash)
         << "record " << i;
+    // The fields the fingerprint leaves out must agree as well.
+    EXPECT_EQ(unfingerprinted_difference(got.records[i], baseline.records[i]),
+              "")
+        << "record " << i;
   }
 }
 
@@ -80,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
 // The configuration matrix: reference {on,off} x jobs {1,4} x trace
 // {on,off} must all merge to one fingerprint, per arch.  (The code
 // campaign is the stressful one for the fast paths: the injector corrupts
-// exactly the bytes the decode and block caches hold.)
+// exactly the bytes the block cache holds.)
 class SuperblockCowMatrixTest : public ::testing::TestWithParam<isa::Arch> {};
 
 TEST_P(SuperblockCowMatrixTest, AllKnobCombinationsMergeIdentically) {

@@ -1,4 +1,4 @@
-// Machine-level contracts of the two PR-8 fast paths.
+// Machine-level contracts of two fast paths: COW pages and superblocks.
 //
 //   * COW boot-snapshot sharing: a worker Machine constructed from a donor
 //     machine's boot snapshot starts with ZERO private pages (its memory
@@ -7,10 +7,10 @@
 //     booted itself.
 //
 //   * Superblock invalidation end-to-end: depositing a bit flip into a
-//     kernel code page whose instructions are already cached (decode cache
-//     AND superblock cache, both on by default) must invalidate the stale
-//     entries, so the machine behaves bit-identically to one running with
-//     every cache disabled.
+//     kernel code page whose instructions are already cached in
+//     superblocks (on by default) must invalidate the stale blocks, so the
+//     machine behaves bit-identically to the reference configuration,
+//     which caches nothing.
 #include <gtest/gtest.h>
 
 #include "kernel/abi.hpp"
@@ -84,20 +84,20 @@ TEST_P(CowSuperblockMachineTest, WorkerRebootDropsBackToSharedPages) {
 
 TEST_P(CowSuperblockMachineTest, DepositIntoCachedKernelCodeReDecodes) {
   const isa::Arch arch = GetParam();
-  MachineOptions fast_opts;  // decode cache, superblocks, COW: all on
+  MachineOptions fast_opts;  // superblocks and COW on
   MachineOptions slow_opts;
   slow_opts.reference = true;
   Machine fast(arch, fast_opts);
   Machine slow(arch, slow_opts);
 
-  // Warm both caches over the syscall dispatch path.
+  // Warm the block cache over the syscall dispatch path.
   fast.syscall(Syscall::kGetpid);
   slow.syscall(Syscall::kGetpid);
   ASSERT_GT(fast.cpu().superblock_stats().dispatches, 0u);
 
   // Deposit a flip into the first instruction of the dispatch function —
-  // code that is cached in both the decode and superblock caches and will
-  // be re-executed by the next syscall.
+  // code that is cached in a superblock and will be re-executed by the
+  // next syscall.
   const Addr target = fast.image().function(KernelEntryPoints::kDispatch).addr;
   fast.space().vflip_bit(target, 1);
   slow.space().vflip_bit(target, 1);
@@ -110,9 +110,7 @@ TEST_P(CowSuperblockMachineTest, DepositIntoCachedKernelCodeReDecodes) {
   EXPECT_EQ(fast.cpu().snapshot().words, slow.cpu().snapshot().words);
   EXPECT_EQ(fast.cpu().snapshot().cycles, slow.cpu().snapshot().cycles);
   // The stale entries were detected, not silently replayed.
-  EXPECT_GE(fast.cpu().superblock_stats().invalidations +
-                fast.cpu().decode_cache_stats().invalidations,
-            1u);
+  EXPECT_GE(fast.cpu().superblock_stats().invalidations, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothArches, CowSuperblockMachineTest,

@@ -136,22 +136,6 @@ TEST_P(MachineSmokeTest, SnapshotRestoreIsBitExact) {
   EXPECT_EQ(machine_.read_global("syscall_count"), 1u);
 }
 
-TEST_P(MachineSmokeTest, ProfilingCountsHotFunctions) {
-  machine_.set_profiling(true);
-  const Addr buf = kUserBufBase;
-  for (u32 i = 0; i < 20; ++i) must_syscall(Syscall::kRead, 0, buf, kBlockSize);
-  const auto& counts = machine_.profile_counts();
-  u64 dispatch_count = 0, memcpy_count = 0;
-  for (u32 i = 0; i < machine_.image().functions.size(); ++i) {
-    if (machine_.image().functions[i].name == "sys_dispatch")
-      dispatch_count = counts[i];
-    if (machine_.image().functions[i].name == "memcpy_user")
-      memcpy_count = counts[i];
-  }
-  EXPECT_GE(dispatch_count, 20u);
-  EXPECT_GE(memcpy_count, 20u);
-}
-
 TEST_P(MachineSmokeTest, BadFdReturnsError) {
   EXPECT_EQ(must_syscall(Syscall::kRead, 99, kUserBufBase, kBlockSize),
             kErrReturn);

@@ -1,7 +1,7 @@
 // Functional-unit classification of riscf instructions against
 // hand-decoded 32-bit words (real PowerPC encodings), plus the
-// predecode-cache side of opclass targeting: corrupting a cached
-// instruction so it changes class must force a re-decode.
+// superblock side of opclass targeting: corrupting a cached instruction
+// so it changes class must force a re-decode.
 #include <gtest/gtest.h>
 
 #include "mem/address_space.hpp"
@@ -56,11 +56,19 @@ TEST(RiscfOpClassTest, EveryOpHasAClassBelowNumClasses) {
   }
 }
 
+/// Dispatch blocks the way the machine loop does until a non-kOk status.
+void run_blocks(RiscfCpu& cpu) {
+  u64 consumed = 1;
+  for (int i = 0; i < 8; ++i) {
+    if (cpu.step_block({}, &consumed).status != isa::StepStatus::kOk) return;
+  }
+}
+
 TEST(RiscfOpClassTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
   // Flipping the MSB of `addi r3, r0, 1` (opcode 14) yields opcode 46 —
   // `lmw`, a load/store — so one injected bit moves the instruction from
-  // the ALU class to load/store.  The predecoded copy of the addi must
-  // not survive the flip.
+  // the ALU class to load/store.  The addi predecoded in a superblock
+  // must not survive the flip.
   constexpr Addr kCode = 0x10000;
   mem::AddressSpace space{64 * 1024, mem::Endian::kBig};
   RiscfCpu cpu{space};
@@ -71,8 +79,7 @@ TEST(RiscfOpClassTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
   space.vwrite32(kCode, addi);
   space.vwrite32(kCode + 4, 0x44000002);  // sc
   cpu.set_pc(kCode);
-  for (int i = 0; i < 8 && cpu.step().status == isa::StepStatus::kOk; ++i) {
-  }
+  run_blocks(cpu);
   ASSERT_EQ(cpu.regs().gpr[3], 1u);
   ASSERT_EQ(opclass(decode(addi).op), isa::OpClass::kAlu);
 
@@ -87,9 +94,9 @@ TEST(RiscfOpClassTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
   EXPECT_EQ(cpu.decode_at(kCode).op, Op::kLmw);
   cpu.set_pc(kCode);
   cpu.regs().gpr[3] = 0;
-  for (int i = 0; i < 8 && cpu.step().status == isa::StepStatus::kOk; ++i) {
-  }
+  run_blocks(cpu);
   EXPECT_NE(cpu.regs().gpr[3], 1u);  // the addi is gone
+  EXPECT_GE(cpu.superblock_stats().invalidations, 1u);
 }
 
 }  // namespace

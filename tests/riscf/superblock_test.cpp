@@ -155,6 +155,32 @@ TEST(RiscfSuperblockTest, BlockDispatchMatchesSingleSteppingInLockstep) {
   FAIL() << "did not stop";
 }
 
+TEST(RiscfSuperblockTest, CorruptedWordStillTrapsWithTheRightAux) {
+  // A flip that lands on a reserved encoding must raise Illegal
+  // Instruction carrying the corrupted word, whether the word sat in a
+  // cached block or not (the paper's dominant G4 text-error outcome).
+  Rig warm(true), cold(false);
+  isa::Trap traps[2];
+  int i = 0;
+  for (Rig* rig : {&warm, &cold}) {
+    Asm a(kCode);
+    a.li(3, 1);
+    a.sc();
+    rig->load(a.finish());
+    rig->run();
+    // Corrupt the cached li's primary opcode field to a reserved one.
+    rig->space.vwrite32(kCode, 0x00000001u);
+    rig->cpu.set_pc(kCode);
+    const isa::StepResult r = rig->run();
+    ASSERT_EQ(r.status, isa::StepStatus::kTrap);
+    traps[i++] = r.trap;
+  }
+  EXPECT_EQ(traps[0].cause, traps[1].cause);
+  EXPECT_EQ(traps[0].aux, 0x00000001u);
+  EXPECT_EQ(traps[0].aux, traps[1].aux);
+  EXPECT_GE(warm.cpu.superblock_stats().invalidations, 1u);
+}
+
 TEST(RiscfSuperblockTest, MaxInsnsLimitBoundsTheDispatch) {
   // A step budget of 1 per dispatch degenerates to single-stepping.
   Rig rig(true);

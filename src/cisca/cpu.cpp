@@ -1161,18 +1161,21 @@ bool CiscaCpu::build_block(Superblock& blk, Addr vpc, u32 phys0) {
   blk.ver = pm.page_version(blk.page);
   Addr pc = vpc;
   u32 phys = phys0;
-  while (blk.insns.size() < kMaxBlockInsns) {
-    // Conservative page rule: every member instruction's full decode
-    // window must fit in the block's page, so the block depends on exactly
-    // one page version and can never hit a mid-instruction fetch fault.
-    // Instructions starting in the last (kMaxInsnBytes - 1) bytes of a
-    // page single-step instead.
-    if (mem::kPageSize - (phys & mem::kPageMask) < kMaxInsnBytes) break;
+  while (blk.insns.size() < kMaxBlockInsns &&
+         (phys >> mem::kPageShift) == blk.page) {
+    // Page rule: every member instruction lies wholly in the block's page,
+    // so the block depends on exactly one page version and can never hit
+    // a mid-instruction fetch fault.  The window holds only the page's
+    // remaining bytes.  The decoder reads an instruction's bytes in order
+    // and none past its end, so one that fits decodes exactly as from a
+    // full window; one that would run into the next page reports a fetch
+    // fault and single-steps instead.
     FetchWindow window;
     window.pc = pc;
     window.phys = phys;
-    pm.read_bytes(phys, window.bytes, kMaxInsnBytes);
-    window.valid = kMaxInsnBytes;
+    window.valid = static_cast<u8>(
+        std::min(kMaxInsnBytes, mem::kPageSize - (phys & mem::kPageMask)));
+    pm.read_bytes(phys, window.bytes, window.valid);
     const DecodeResult dec = decode(window);
     // Invalid encodings single-step: step() raises #UD with the aux byte
     // from its fetch window.

@@ -183,6 +183,43 @@ TEST(CiscaSuperblockTest, BlockDispatchMatchesSingleSteppingInLockstep) {
   FAIL() << "did not stop";
 }
 
+TEST(CiscaSuperblockTest, PageEdgeInstructionsJoinBlocksStraddlersStep) {
+  // Two movs that end inside the page's last 13 bytes belong to a block;
+  // the third straddles into the next page and single-steps.  Lockstep
+  // against single-stepping must hold across the boundary.
+  constexpr Addr kStart = kCode + 4096 - 12;
+  Asm a(kStart);
+  a.mov_r_imm(kEax, 1);  // kStart + 0..4
+  a.mov_r_imm(kEbx, 2);  // kStart + 5..9
+  a.mov_r_imm(kEcx, 3);  // kStart + 10..14: crosses the page end
+  a.hlt();
+  const std::vector<u8> program = a.finish();
+
+  Rig blocked(true), stepped(false);
+  for (Rig* rig : {&blocked, &stepped}) {
+    rig->space.map_region("code2", kCode + 4096, 4096,
+                          {.read = true, .write = true, .execute = true});
+    rig->space.vwrite_bytes(kStart, program.data(),
+                            static_cast<u32>(program.size()));
+    rig->cpu.set_pc(kStart);
+  }
+  std::vector<u64> dispatches;
+  for (u32 guard = 0; guard < 8; ++guard) {
+    u64 consumed = 1;
+    const isa::StepResult rb = blocked.cpu.step_block({}, &consumed);
+    isa::StepResult rs;
+    for (u64 k = 0; k < consumed; ++k) rs = stepped.cpu.step();
+    dispatches.push_back(consumed);
+    ASSERT_EQ(rb.status, rs.status) << "dispatch " << guard;
+    ASSERT_EQ(blocked.cpu.snapshot().words, stepped.cpu.snapshot().words)
+        << "dispatch " << guard;
+    if (rb.status != isa::StepStatus::kOk) break;
+  }
+  EXPECT_EQ(blocked.cpu.regs().gpr[kEcx], 3u);
+  // {mov, mov} as one block, the straddling mov alone, then the hlt.
+  EXPECT_EQ(dispatches, (std::vector<u64>{2, 1, 1}));
+}
+
 TEST(CiscaSuperblockTest, MaxInsnsLimitBoundsTheDispatch) {
   // A step budget of 1 per dispatch degenerates to single-stepping.
   Rig rig(true);

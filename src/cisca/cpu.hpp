@@ -98,11 +98,11 @@ class CiscaCpu final : public isa::CpuCore {
   /// Superblock cache: straight-line runs of predecoded instructions plus
   /// their pre-resolved execute handlers, direct-mapped on the physical
   /// address of the first byte.  A block never leaves its first physical
-  /// page (each member instruction's full decode window must fit in the
-  /// page, so re-aligned corrupted streams still decode identically), and
-  /// is valid only while that page's write version is unchanged, so
-  /// stores, injected flips, and reboots into cached code force a
-  /// rebuild lazily, with no store-side hooks.
+  /// page (each member instruction lies wholly in the page, so re-aligned
+  /// corrupted streams still decode identically), and is valid only
+  /// while that page's write version is unchanged, so stores, injected
+  /// flips, and reboots into cached code force a rebuild lazily, with no
+  /// store-side hooks.
   struct BlockInsn {
     Insn insn{};
     void (*fn)(CiscaCpu&, const Insn&) = nullptr;
@@ -119,8 +119,8 @@ class CiscaCpu final : public isa::CpuCore {
   static constexpr u32 kMaxBlockInsns = 32;
 
   /// (Re)build the block starting at vpc/phys0 in place; false when no
-  /// block can start here (page-end decode window, invalid or faulting
-  /// first instruction) and the caller must single-step.
+  /// block can start here (first instruction invalid, faulting, or
+  /// crossing into the next page) and the caller must single-step.
   bool build_block(Superblock& blk, Addr vpc, u32 phys0);
   static bool block_terminator(const Insn& insn);
 

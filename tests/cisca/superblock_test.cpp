@@ -15,6 +15,8 @@ namespace kfi::cisca {
 namespace {
 
 constexpr Addr kCode = 0x10000;
+constexpr Addr kData = 0x20000;      // mapped by the data-breakpoint case
+constexpr Addr kUnmapped = 0x30000;  // never mapped
 
 struct Rig {
   mem::AddressSpace space{256 * 1024, mem::Endian::kLittle};
@@ -249,6 +251,102 @@ TEST(CiscaSuperblockTest, CycleBoundStopsMidBlock) {
   EXPECT_EQ(consumed, 1u);
   EXPECT_EQ(rig.cpu.regs().gpr[kEax], 1u);
   EXPECT_EQ(rig.cpu.regs().gpr[kEbx], 0u);  // second insn did not run
+}
+
+// Dispatch contract: a dispatch that stops on its k-th instruction stands
+// for exactly k machine-loop iterations.
+
+TEST(CiscaSuperblockTest, TrapOnTheKthInsnConsumesK) {
+  // The third instruction faults: two retire, plus one for the trap.
+  Asm a(kCode);
+  a.mov_r_imm(kEax, 1);                                          // + 0
+  a.mov_r_imm(kEbx, 2);                                          // + 5
+  a.mov_r_rm(kEcx, MemOperand{.disp = static_cast<i32>(kUnmapped)});  // + 10
+  a.hlt();
+  Rig rig(true);
+  rig.load(a.finish());
+  u64 consumed = 0;
+  const isa::StepResult r = rig.cpu.step_block({}, &consumed);
+  ASSERT_EQ(r.status, isa::StepStatus::kTrap);
+  EXPECT_EQ(consumed, 3u);
+  EXPECT_EQ(r.trap.cause, static_cast<u32>(Cause::kPageFault));
+  EXPECT_EQ(r.trap.pc, kCode + 10);
+  EXPECT_EQ(r.trap.addr, kUnmapped);
+  EXPECT_EQ(rig.cpu.regs().gpr[kEbx], 2u);
+  EXPECT_EQ(rig.cpu.superblock_stats().dispatches, 1u);
+}
+
+TEST(CiscaSuperblockTest, ArmedInsnBreakpointOnTheKthInsnConsumesK) {
+  // The breakpoint sits on the third instruction: two retire, plus one
+  // for the breakpoint stop; the instruction itself does not execute.
+  Rig rig(true);
+  rig.load(straight_line_program());
+  rig.cpu.debug().arm_insn_bp(kCode + 10);
+  u64 consumed = 0;
+  const isa::StepResult r = rig.cpu.step_block({}, &consumed);
+  ASSERT_EQ(r.status, isa::StepStatus::kInsnBp);
+  EXPECT_EQ(consumed, 3u);
+  EXPECT_EQ(rig.cpu.pc(), kCode + 10);
+  EXPECT_EQ(rig.cpu.regs().gpr[kEbx], 2u);
+  EXPECT_EQ(rig.cpu.regs().gpr[kEcx], 0u);
+  // The breakpoint fired once; the next dispatch runs on to the hlt.
+  EXPECT_EQ(rig.run().status, isa::StepStatus::kHalted);
+  EXPECT_EQ(rig.cpu.regs().gpr[kEcx], 3u);
+}
+
+TEST(CiscaSuperblockTest, DataBreakpointHitEndsTheDispatchAfterThatInsn) {
+  Asm a(kCode);
+  a.mov_r_imm(kEax, 1);
+  a.mov_rm_r(MemOperand{.disp = static_cast<i32>(kData)}, kEax);  // hits
+  a.mov_r_imm(kEbx, 2);
+  a.hlt();
+  Rig rig(true);
+  rig.space.map_region("data", kData, 4096, {.read = true, .write = true});
+  rig.load(a.finish());
+  rig.cpu.debug().arm_data_bp(0, kData, 4, /*on_read=*/false,
+                              /*on_write=*/true);
+  u64 consumed = 0;
+  const isa::StepResult r = rig.cpu.step_block({}, &consumed);
+  ASSERT_EQ(r.status, isa::StepStatus::kOk);
+  EXPECT_EQ(consumed, 2u);
+  ASSERT_EQ(r.num_data_hits, 1u);
+  EXPECT_EQ(r.data_hits[0].addr, kData);
+  EXPECT_TRUE(r.data_hits[0].is_write);
+  EXPECT_EQ(rig.cpu.regs().gpr[kEbx], 0u);  // the next insn did not run
+  EXPECT_EQ(rig.run().status, isa::StepStatus::kHalted);
+  EXPECT_EQ(rig.cpu.regs().gpr[kEbx], 2u);
+}
+
+TEST(CiscaSuperblockTest, InvalidOpcodeRaisesUdWithItsByteAtBlockStartAndMidBlock) {
+  // 0x06 and 0x0E (push es/cs) are undefined in this flat kernel model.
+  // #UD carries the first opcode byte in aux, whether the invalid byte
+  // opens a dispatch or ends a block that ran before it.
+  Rig start(true);
+  start.load({0x06});
+  u64 consumed = 0;
+  isa::StepResult r = start.cpu.step_block({}, &consumed);
+  ASSERT_EQ(r.status, isa::StepStatus::kTrap);
+  EXPECT_EQ(consumed, 1u);
+  EXPECT_EQ(r.trap.cause, static_cast<u32>(Cause::kInvalidOpcode));
+  EXPECT_EQ(r.trap.pc, kCode);
+  EXPECT_EQ(r.trap.aux, 0x06u);
+
+  Asm a(kCode);
+  a.mov_r_imm(kEax, 1);
+  a.mov_r_imm(kEbx, 2);
+  a.emit_bytes({0x0E});  // at kCode + 10
+  Rig mid(true);
+  mid.load(a.finish());
+  r = mid.cpu.step_block({}, &consumed);
+  ASSERT_EQ(r.status, isa::StepStatus::kOk);
+  EXPECT_EQ(consumed, 2u);
+  r = mid.cpu.step_block({}, &consumed);
+  ASSERT_EQ(r.status, isa::StepStatus::kTrap);
+  EXPECT_EQ(consumed, 1u);
+  EXPECT_EQ(r.trap.cause, static_cast<u32>(Cause::kInvalidOpcode));
+  EXPECT_EQ(r.trap.pc, kCode + 10);
+  EXPECT_EQ(r.trap.aux, 0x0Eu);
+  EXPECT_EQ(mid.cpu.regs().gpr[kEbx], 2u);
 }
 
 }  // namespace

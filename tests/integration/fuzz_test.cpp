@@ -1,10 +1,15 @@
 // Robustness fuzzing: the simulators must execute ARBITRARY garbage
-// safely.  Every injection campaign depends on this — corrupted kernels
-// jump into data, stacks, and re-aligned byte soup, and the only
-// acceptable outcomes are architectural traps, breakpoints, halts, or
-// plain execution.  A host-side exception (kfi::InternalError) anywhere in
+// safely, and their superblock fast path must stay bit-identical to
+// single-stepping while doing so.  Every injection campaign depends on
+// this — corrupted kernels jump into data, stacks, and re-aligned byte
+// soup, and the only acceptable outcomes are architectural traps,
+// breakpoints, halts, or plain execution.  A host-side exception (kfi::InternalError) anywhere in
 // these paths would poison campaign statistics.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "cisca/cpu.hpp"
 #include "common/rng.hpp"
@@ -13,40 +18,166 @@
 #include "kernel/machine.hpp"
 #include "mem/address_space.hpp"
 #include "riscf/cpu.hpp"
+#include "trace/sink.hpp"
 
 namespace kfi {
 namespace {
 
 constexpr Addr kCode = 0x10000;
+constexpr u32 kCodeBytes = 16384;
 constexpr Addr kStackTop = 0x31000;
+constexpr u32 kStackBytes = 8192;
+
+/// Folds every CPU-side trace hook, arguments included, into one FNV-1a
+/// hash: two CPUs made the same hook calls in the same order iff their
+/// hashes agree.
+class HookHash final : public trace::TraceSink {
+ public:
+  u64 value() const { return h_; }
+
+  void on_insn_fetch(trace::RegSlot slot, Addr pc, u32 phys1, u32 len1,
+                     u32 phys2, u32 len2) override {
+    mix(1, slot, pc, phys1, len1, phys2, len2);
+  }
+  void on_reg_read(trace::RegSlot slot) override { mix(2, slot); }
+  void on_reg_write(trace::RegSlot slot) override { mix(3, slot); }
+  void on_reg_merge(trace::RegSlot slot) override { mix(4, slot); }
+  void on_mem_read(Addr va, u32 phys, u32 len) override {
+    mix(5, va, phys, len);
+  }
+  void on_mem_write(Addr va, u32 phys, u32 len) override {
+    mix(6, va, phys, len);
+  }
+  void on_branch_decision() override { mix(7); }
+  void on_priv_transition(trace::PrivEvent ev) override { mix(8, ev); }
+  void on_ctx_save(trace::RegSlot slot, u32 phys) override {
+    mix(9, slot, phys);
+  }
+  void on_ctx_restore(trace::RegSlot slot, u32 phys) override {
+    mix(10, slot, phys);
+  }
+  void on_glue_reg_set(trace::RegSlot slot) override { mix(11, slot); }
+  void on_glue_mem_set(u32 phys, u32 len) override { mix(12, phys, len); }
+  void on_glue_reg_copy(trace::RegSlot dst, trace::RegSlot src) override {
+    mix(13, dst, src);
+  }
+  void on_syscall_result(trace::RegSlot slot) override { mix(14, slot); }
+
+ private:
+  template <typename... T>
+  void mix(T... v) {
+    ((h_ = (h_ ^ static_cast<u64>(v)) * 0x100000001b3ull), ...);
+  }
+  u64 h_ = 0xcbf29ce484222325ull;
+};
 
 template <typename Cpu>
+struct FuzzRig {
+  mem::AddressSpace space;
+  Cpu cpu{space};
+  HookHash hooks;
+
+  explicit FuzzRig(mem::Endian endian) : space(256 * 1024, endian) {
+    space.map_region("code", kCode, kCodeBytes,
+                     {.read = true, .write = true, .execute = true});
+    space.map_region("stack", kStackTop - kStackBytes, kStackBytes,
+                     {.read = true, .write = true, .execute = true});
+  }
+
+  std::vector<u8> bytes(Addr base, u32 len) const {
+    std::vector<u8> out(len);
+    space.vread_bytes(base, out.data(), len);
+    return out;
+  }
+};
+
+/// Differential fuzz: two CPUs get the same random code and state.  One
+/// runs block dispatches with its fast paths on, under random step
+/// budgets, cycle bounds and breakpoints; its twin single-steps.  After
+/// every dispatch consuming k machine-loop iterations the twin takes k
+/// steps, stopping early only at a non-kOk status or a data-breakpoint
+/// hit, and both must agree on everything: the step count, status, trap,
+/// data hits, registers, cycles and (in the rounds with a sink attached)
+/// every trace hook.  Memory is compared at the end of each round.  Both
+/// must also execute arbitrary garbage without a host exception: the
+/// acceptable outcomes are traps, breakpoints, halts and plain execution.
+template <typename Cpu>
 void fuzz_cpu(mem::Endian endian, u64 seed) {
-  mem::AddressSpace space(256 * 1024, endian);
-  space.map_region("code", kCode, 16384,
-                   {.read = true, .write = true, .execute = true});
-  space.map_region("stack", kStackTop - 8192, 8192,
-                   {.read = true, .write = true, .execute = true});
+  constexpr u32 kInsnAlign = std::is_same_v<Cpu, riscf::RiscfCpu> ? 4 : 1;
+  FuzzRig<Cpu> blocked(endian), stepped(endian);
+  blocked.cpu.set_fast_paths(true);
   Rng rng(seed);
-  Cpu cpu(space);
   for (u32 round = 0; round < 60; ++round) {
-    // Fresh random code blob.
-    for (Addr a = kCode; a < kCode + 16384; a += 4) {
-      space.vwrite32(a, rng.next_u32());
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Fresh random code blob, start pc and breakpoints, identical in both.
+    for (Addr a = kCode; a < kCode + kCodeBytes; a += 4) {
+      const u32 word = rng.next_u32();
+      blocked.space.vwrite32(a, word);
+      stepped.space.vwrite32(a, word);
     }
-    cpu.set_pc(kCode + 4 * static_cast<u32>(rng.below(4000)));
-    cpu.regs().gpr[4] = kStackTop;  // some plausible register state
-    if constexpr (std::is_same_v<Cpu, riscf::RiscfCpu>) {
-      cpu.regs().gpr[1] = kStackTop;
+    const Addr pc = kCode + 4 * static_cast<u32>(rng.below(kCodeBytes / 4));
+    const bool armed_insn_bp = rng.chance(0.5);
+    const Addr insn_bp = pc + kInsnAlign * static_cast<u32>(rng.below(32));
+    const Addr data_bp = kStackTop - 4 * static_cast<u32>(1 + rng.below(64));
+    const bool traced = (round & 1) != 0;
+    for (FuzzRig<Cpu>* rig : {&blocked, &stepped}) {
+      rig->cpu.set_pc(pc);
+      rig->cpu.regs().gpr[4] = kStackTop;  // some plausible register state
+      if constexpr (std::is_same_v<Cpu, riscf::RiscfCpu>) {
+        rig->cpu.regs().gpr[1] = kStackTop;
+      }
+      rig->cpu.debug().clear_all();
+      if (armed_insn_bp) rig->cpu.debug().arm_insn_bp(insn_bp);
+      rig->cpu.debug().arm_data_bp(0, data_bp, 64, true, true);
+      rig->cpu.set_trace_sink(traced ? &rig->hooks : nullptr);
     }
-    for (u32 step = 0; step < 3000; ++step) {
-      const isa::StepResult r = cpu.step();  // must never throw
-      if (r.status == isa::StepStatus::kTrap ||
-          r.status == isa::StepStatus::kHalted) {
+    isa::StepResult rb;
+    for (u32 dispatch = 0; dispatch < 3000; ++dispatch) {
+      isa::BlockLimits limits;
+      if (rng.chance(0.25)) limits.max_insns = rng.range(1, 8);
+      if (rng.chance(0.25)) {
+        limits.cycle_bound = blocked.cpu.cycles() + rng.range(1, 40);
+      }
+      u64 consumed = 0;
+      rb = blocked.cpu.step_block(limits, &consumed);  // must never throw
+      isa::StepResult rs;
+      u64 steps = 0;
+      while (steps < consumed) {
+        rs = stepped.cpu.step();
+        ++steps;
+        if (rs.status != isa::StepStatus::kOk || rs.num_data_hits > 0) break;
+      }
+      ASSERT_EQ(steps, consumed) << "dispatch " << dispatch;
+      ASSERT_EQ(rb.status, rs.status) << "dispatch " << dispatch;
+      ASSERT_EQ(rb.trap.cause, rs.trap.cause) << "dispatch " << dispatch;
+      ASSERT_EQ(rb.trap.pc, rs.trap.pc) << "dispatch " << dispatch;
+      ASSERT_EQ(rb.trap.addr, rs.trap.addr) << "dispatch " << dispatch;
+      ASSERT_EQ(rb.trap.has_addr, rs.trap.has_addr) << "dispatch " << dispatch;
+      ASSERT_EQ(rb.trap.aux, rs.trap.aux) << "dispatch " << dispatch;
+      ASSERT_EQ(rb.num_data_hits, rs.num_data_hits) << "dispatch " << dispatch;
+      for (u8 h = 0; h < rb.num_data_hits; ++h) {
+        ASSERT_EQ(rb.data_hits[h].addr, rs.data_hits[h].addr);
+        ASSERT_EQ(rb.data_hits[h].is_write, rs.data_hits[h].is_write);
+      }
+      ASSERT_TRUE(blocked.cpu.registers_equal(stepped.cpu.snapshot()))
+          << "dispatch " << dispatch;
+      ASSERT_EQ(blocked.cpu.cycles(), stepped.cpu.cycles())
+          << "dispatch " << dispatch;
+      ASSERT_EQ(blocked.hooks.value(), stepped.hooks.value())
+          << "dispatch " << dispatch;
+      if (rb.status == isa::StepStatus::kTrap ||
+          rb.status == isa::StepStatus::kHalted) {
         break;
       }
     }
+    ASSERT_EQ(blocked.bytes(kCode, kCodeBytes),
+              stepped.bytes(kCode, kCodeBytes));
+    ASSERT_EQ(blocked.bytes(kStackTop - kStackBytes, kStackBytes),
+              stepped.bytes(kStackTop - kStackBytes, kStackBytes));
   }
+  // The blocked CPU really dispatched blocks, so the builder (cisca's
+  // page-end window included) was fed the same garbage.
+  EXPECT_GT(blocked.cpu.superblock_stats().dispatches, 0u);
 }
 
 TEST(FuzzTest, CiscaExecutesRandomBytesWithoutHostFaults) {

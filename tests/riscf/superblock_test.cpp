@@ -15,6 +15,8 @@ namespace kfi::riscf {
 namespace {
 
 constexpr Addr kCode = 0x10000;
+constexpr Addr kData = 0x20000;     // mapped by the data-breakpoint case
+constexpr Addr kUnmapped = 0x7000;  // never mapped; a 16-bit displacement
 
 struct Rig {
   mem::AddressSpace space{256 * 1024, mem::Endian::kBig};
@@ -210,6 +212,71 @@ TEST(RiscfSuperblockTest, CycleBoundStopsMidBlock) {
   EXPECT_EQ(consumed, 1u);
   EXPECT_EQ(rig.cpu.regs().gpr[3], 1u);
   EXPECT_EQ(rig.cpu.regs().gpr[4], 0u);  // second insn did not run
+}
+
+// Dispatch contract: a dispatch that stops on its k-th instruction stands
+// for exactly k machine-loop iterations.
+
+TEST(RiscfSuperblockTest, TrapOnTheKthInsnConsumesK) {
+  // The third instruction faults: two retire, plus one for the trap.
+  Asm a(kCode);
+  a.li(3, 1);
+  a.li(4, 2);
+  a.lwz(5, static_cast<i32>(kUnmapped), 0);  // kCode + 8: DSI
+  a.sc();
+  Rig rig(true);
+  rig.load(a.finish());
+  u64 consumed = 0;
+  const isa::StepResult r = rig.cpu.step_block({}, &consumed);
+  ASSERT_EQ(r.status, isa::StepStatus::kTrap);
+  EXPECT_EQ(consumed, 3u);
+  EXPECT_EQ(r.trap.cause, static_cast<u32>(Cause::kDataStorage));
+  EXPECT_EQ(r.trap.pc, kCode + 8);
+  EXPECT_EQ(r.trap.addr, kUnmapped);
+  EXPECT_EQ(rig.cpu.regs().gpr[4], 2u);
+  EXPECT_EQ(rig.cpu.superblock_stats().dispatches, 1u);
+}
+
+TEST(RiscfSuperblockTest, ArmedInsnBreakpointOnTheKthInsnConsumesK) {
+  // The breakpoint sits on the third instruction: two retire, plus one
+  // for the breakpoint stop; the instruction itself does not execute.
+  Rig rig(true);
+  rig.load(straight_line_program());
+  rig.cpu.debug().arm_insn_bp(kCode + 8);
+  u64 consumed = 0;
+  const isa::StepResult r = rig.cpu.step_block({}, &consumed);
+  ASSERT_EQ(r.status, isa::StepStatus::kInsnBp);
+  EXPECT_EQ(consumed, 3u);
+  EXPECT_EQ(rig.cpu.pc(), kCode + 8);
+  EXPECT_EQ(rig.cpu.regs().gpr[4], 2u);
+  EXPECT_EQ(rig.cpu.regs().gpr[5], 0u);
+  // The breakpoint fired once; the next dispatch runs on to the sc.
+  EXPECT_EQ(rig.run().status, isa::StepStatus::kTrap);
+  EXPECT_EQ(rig.cpu.regs().gpr[5], 3u);
+}
+
+TEST(RiscfSuperblockTest, DataBreakpointHitEndsTheDispatchAfterThatInsn) {
+  Asm a(kCode);
+  a.li(3, 1);
+  a.lis(6, static_cast<i32>(kData >> 16));
+  a.stw(3, 0, 6);  // hits
+  a.li(4, 2);
+  a.sc();
+  Rig rig(true);
+  rig.space.map_region("data", kData, 4096, {.read = true, .write = true});
+  rig.load(a.finish());
+  rig.cpu.debug().arm_data_bp(0, kData, 4, /*on_read=*/false,
+                              /*on_write=*/true);
+  u64 consumed = 0;
+  const isa::StepResult r = rig.cpu.step_block({}, &consumed);
+  ASSERT_EQ(r.status, isa::StepStatus::kOk);
+  EXPECT_EQ(consumed, 3u);
+  ASSERT_EQ(r.num_data_hits, 1u);
+  EXPECT_EQ(r.data_hits[0].addr, kData);
+  EXPECT_TRUE(r.data_hits[0].is_write);
+  EXPECT_EQ(rig.cpu.regs().gpr[4], 0u);  // the next insn did not run
+  EXPECT_EQ(rig.run().status, isa::StepStatus::kTrap);
+  EXPECT_EQ(rig.cpu.regs().gpr[4], 2u);
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 // with their entry counts, for both arches at two seeds.  Code campaigns
 // draw their targets from this list, so how the profile is taken may
 // change but the list may not; the reference machine configuration must
-// produce it too.
+// produce it too, and so must the plan builder, which takes the profile
+// inside its calibration run.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <string>
 
+#include "inject/plan.hpp"
 #include "kernel/machine.hpp"
 #include "workload/profiler.hpp"
 #include "workload/workload.hpp"
@@ -47,7 +49,16 @@ constexpr ProfilePin kPins[] = {
       100, 100, 90}},
 };
 
-/// Profile every pinned seed of `arch` in both machine configurations.
+void expect_pin(const ProfilePin& pin, const std::vector<HotFunction>& hot) {
+  ASSERT_EQ(hot.size(), kHot);
+  for (size_t i = 0; i < kHot; ++i) {
+    EXPECT_EQ(hot[i].name, kNames[i]) << "rank " << i;
+    EXPECT_EQ(hot[i].entries, pin.entries[i]) << hot[i].name;
+  }
+}
+
+/// Profile every pinned seed of `arch` in both machine configurations,
+/// standalone and through the plan builder.
 void expect_pinned_profiles(isa::Arch arch) {
   for (const ProfilePin& pin : kPins) {
     if (pin.arch != arch) continue;
@@ -58,12 +69,22 @@ void expect_pinned_profiles(isa::Arch arch) {
       opts.reference = reference;
       kernel::Machine machine(arch, opts);
       auto wl = make_suite();
-      const auto hot = profile_hot_functions(machine, *wl, 0.95, pin.seed);
-      ASSERT_EQ(hot.size(), kHot);
-      for (size_t i = 0; i < kHot; ++i) {
-        EXPECT_EQ(hot[i].name, kNames[i]) << "rank " << i;
-        EXPECT_EQ(hot[i].entries, pin.entries[i]) << hot[i].name;
-      }
+      expect_pin(pin, profile_hot_functions(machine, *wl, 0.95, pin.seed));
+
+      // The plan's machine seed is spec.machine.seed ^ spec.seed; cancel
+      // the campaign seed so the plan profiles the same machine as above.
+      inject::CampaignSpec spec;
+      spec.arch = arch;
+      spec.seed = pin.seed;
+      spec.injections = 1;
+      spec.machine = opts;
+      spec.machine.seed ^= pin.seed;
+      const inject::CampaignPlan plan = inject::build_campaign_plan(spec);
+      SCOPED_TRACE("build_campaign_plan");
+      expect_pin(pin, plan.hot_functions);
+      kernel::Machine calibrated(arch, inject::campaign_machine_options(spec));
+      EXPECT_EQ(plan.nominal_cycles,
+                inject::calibrate_workload(calibrated, *wl, spec.seed));
     }
   }
 }

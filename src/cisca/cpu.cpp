@@ -80,13 +80,6 @@ FetchWindow CiscaCpu::fetch_window(Addr pc) const {
   return window;
 }
 
-void CiscaCpu::set_fast_paths(bool enabled) {
-  fast_paths_ = enabled;
-  sblocks_.clear();
-  sblocks_.shrink_to_fit();
-  if (enabled) sblocks_.resize(kSuperblockEntries);
-}
-
 DecodeResult CiscaCpu::decode_at(Addr pc) const {
   return decode(fetch_window(pc));
 }
@@ -326,7 +319,7 @@ isa::StepResult CiscaCpu::step() {
   try {
     // Loss of protected mode or paging (e.g. a CR0 bit flip) is immediately
     // fatal in a protected-mode kernel: the very next fetch #GPs.
-    if (!test_bit(regs_.cr0, kCr0PE) || !test_bit(regs_.cr0, kCr0PG)) {
+    if (!sb_dispatchable()) {
       raise(Cause::kGeneralProtection, 0, false, regs_.cr0);
     }
     const FetchWindow window = fetch_window(regs_.eip);
@@ -356,8 +349,7 @@ isa::StepResult CiscaCpu::step() {
     result.trap = te.trap;
     cycles_ += 1;
   }
-  if (result.status == isa::StepStatus::kOk && halted_pending_) {
-    halted_pending_ = false;
+  if (result.status == isa::StepStatus::kOk && take_halt()) {
     result.status = isa::StepStatus::kHalted;
   }
   current_result_ = nullptr;
@@ -1152,141 +1144,32 @@ bool CiscaCpu::block_terminator(const Insn& insn) {
   }
 }
 
-bool CiscaCpu::build_block(Superblock& blk, Addr vpc, u32 phys0) {
-  const mem::PhysicalMemory& pm = space_.phys();
-  blk.tag = kNoPage;
-  blk.insns.clear();
-  blk.vpc = vpc;
-  blk.page = phys0 >> mem::kPageShift;
-  blk.ver = pm.page_version(blk.page);
-  Addr pc = vpc;
-  u32 phys = phys0;
-  while (blk.insns.size() < kMaxBlockInsns &&
-         (phys >> mem::kPageShift) == blk.page) {
-    // Page rule: every member instruction lies wholly in the block's page,
-    // so the block depends on exactly one page version and can never hit
-    // a mid-instruction fetch fault.  The window holds only the page's
-    // remaining bytes.  The decoder reads an instruction's bytes in order
-    // and none past its end, so one that fits decodes exactly as from a
-    // full window; one that would run into the next page reports a fetch
-    // fault and single-steps instead.
-    FetchWindow window;
-    window.pc = pc;
-    window.phys = phys;
-    window.valid = static_cast<u8>(
-        std::min(kMaxInsnBytes, mem::kPageSize - (phys & mem::kPageMask)));
-    pm.read_bytes(phys, window.bytes, window.valid);
-    const DecodeResult dec = decode(window);
-    // Invalid encodings single-step: step() raises #UD with the aux byte
-    // from its fetch window.
-    if (dec.fetch_fault || dec.insn.op == Op::kInvalid) break;
-    blk.insns.push_back(
-        {dec.insn, op_table()[static_cast<size_t>(dec.insn.op)], phys});
-    const bool term = block_terminator(dec.insn);
-    pc += dec.insn.length;
-    phys += dec.insn.length;
-    if (term) break;
-  }
-  if (blk.insns.empty()) return false;
-  blk.tag = phys0;
-  return true;
+u32 CiscaCpu::sb_decode(Addr pc, u32 phys, Insn& insn,
+                        Superblocks::OpFn& fn) const {
+  // Page rule: the window holds only the page's remaining bytes.  The
+  // decoder reads an instruction's bytes in order and none past its end,
+  // so one that fits decodes exactly as from a full window; one that
+  // would run into the next page reports a fetch fault and single-steps
+  // instead.  The block then depends on exactly one page version and can
+  // never hit a mid-instruction fetch fault.
+  FetchWindow window;
+  window.pc = pc;
+  window.phys = phys;
+  window.valid = static_cast<u8>(
+      std::min(kMaxInsnBytes, mem::kPageSize - (phys & mem::kPageMask)));
+  space_.phys().read_bytes(phys, window.bytes, window.valid);
+  const DecodeResult dec = decode(window);
+  // Invalid encodings single-step: step() raises #UD with the aux byte
+  // from its fetch window.
+  if (dec.fetch_fault || dec.insn.op == Op::kInvalid) return 0;
+  insn = dec.insn;
+  fn = op_table()[static_cast<size_t>(insn.op)];
+  return insn.length;
 }
 
 isa::StepResult CiscaCpu::step_block(const isa::BlockLimits& limits,
                                      u64* consumed) {
-  *consumed = 1;
-  if (!fast_paths_) return step();
-  // Same order as step(): the breakpoint check precedes everything.  The
-  // single-step fallbacks below re-check it harmlessly (a non-matching
-  // check has no effect, and a matching one already returned here).
-  if (debug_.check_insn_bp(regs_.eip)) {
-    isa::StepResult result;
-    result.status = isa::StepStatus::kInsnBp;
-    return result;
-  }
-  if (!test_bit(regs_.cr0, kCr0PE) || !test_bit(regs_.cr0, kCr0PG)) {
-    return step();  // raises #GP with the step() bookkeeping
-  }
-  const auto tr = space_.translate(regs_.eip, 1, mem::Access::kExecute);
-  if (!tr.ok()) return step();  // unfetchable pc: step() raises
-  mem::PhysicalMemory& pm = space_.phys();
-  Superblock& blk = sblocks_[tr.phys & (kSuperblockEntries - 1)];
-  bool hit = false;
-  if (blk.tag == tr.phys && blk.vpc == regs_.eip) {
-    if (blk.ver == pm.page_version(blk.page)) {
-      hit = true;
-    } else {
-      ++sb_stats_.invalidations;
-    }
-  }
-  if (hit) {
-    ++sb_stats_.hits;
-  } else {
-    ++sb_stats_.misses;
-    if (!build_block(blk, regs_.eip, tr.phys)) return step();
-  }
-  ++sb_stats_.dispatches;
-
-  isa::StepResult result;
-  current_result_ = &result;
-  const u64 cycle_bound = limits.cycle_bound == 0 ? ~0ull : limits.cycle_bound;
-  const u64 max_insns = limits.max_insns == 0 ? ~0ull : limits.max_insns;
-  const u64 ver = blk.ver;
-  const u32 page = blk.page;
-  const u32 n = static_cast<u32>(blk.insns.size());
-  // No instruction arms the breakpoint (only the harness does, between
-  // run() calls), so an unarmed unit at dispatch stays unarmed for the
-  // whole block and the per-insn check can be skipped.
-  const bool bp_armed = debug_.insn_bp_armed();
-  u64 done = 0;
-  bool bp_stop = false;
-  try {
-    for (u32 i = 0; i < n; ++i) {
-      if (i != 0) {
-        // The machine loop's per-iteration order, inlined: step budget,
-        // cycle-driven events, then the instruction breakpoint.
-        if (done >= max_insns) break;
-        if (cycles_ >= cycle_bound) break;
-        if (bp_armed && debug_.check_insn_bp(regs_.eip)) {
-          result.status = isa::StepStatus::kInsnBp;
-          bp_stop = true;
-          break;
-        }
-      }
-      const BlockInsn& bi = blk.insns[i];
-      if (sink_ != nullptr) {
-        // Block instructions never straddle pages (see build_block), so
-        // the span is always single-page — same bytes as the step() hook.
-        sink_->on_insn_fetch(kSlotEip, regs_.eip, bi.phys, bi.insn.length, 0,
-                             0);
-      }
-      bi.fn(*this, bi.insn);
-      cycles_ += 1;
-      ++done;
-      if (result.num_data_hits > 0) break;
-      if (halted_pending_) break;
-      // A store into this block's own page (self-modification, injector
-      // flip) may have rewritten the remaining cached instructions:
-      // re-dispatch so they re-decode from current bytes.
-      if (pm.page_version(page) != ver) break;
-    }
-  } catch (const TrapException& te) {
-    result.status = isa::StepStatus::kTrap;
-    result.trap = te.trap;
-    cycles_ += 1;
-  }
-  if (result.status == isa::StepStatus::kOk && halted_pending_) {
-    halted_pending_ = false;
-    result.status = isa::StepStatus::kHalted;
-  }
-  current_result_ = nullptr;
-  sb_stats_.block_insns += done;
-  // Executed instructions each stand for one machine-loop iteration; a
-  // trap or breakpoint stop consumed one more (exactly what the old
-  // per-step loop charged against harness step budgets).
-  *consumed =
-      result.status == isa::StepStatus::kTrap || bp_stop ? done + 1 : done;
-  return result;
+  return sb_.step_block(*this, limits, consumed);
 }
 
 std::array<u32, CiscaCpu::kSnapshotWords> CiscaCpu::snapshot_words() const {

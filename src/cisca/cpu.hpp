@@ -17,12 +17,14 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <vector>
+#include <utility>
 
 #include "cisca/cause.hpp"
 #include "cisca/decode.hpp"
 #include "cisca/regs.hpp"
+#include "common/bits.hpp"
 #include "isa/cpu.hpp"
+#include "isa/superblock.hpp"
 #include "mem/address_space.hpp"
 
 namespace kfi::cisca {
@@ -67,10 +69,10 @@ class CiscaCpu final : public isa::CpuCore {
   isa::CpuSnapshot snapshot() const override;
   void restore(const isa::CpuSnapshot& snap) override;
   bool registers_equal(const isa::CpuSnapshot& snap) const override;
-  void set_fast_paths(bool enabled) override;
+  void set_fast_paths(bool enabled) override { sb_.set_enabled(enabled); }
   isa::StepResult step_block(const isa::BlockLimits& limits,
                              u64* consumed) override;
-  isa::SuperblockStats superblock_stats() const override { return sb_stats_; }
+  isa::SuperblockStats superblock_stats() const override { return sb_.stats(); }
   void set_trace_sink(trace::TraceSink* sink) override { sink_ = sink; }
   trace::RegSlot sysreg_slot(u32 index) const override;
 
@@ -95,34 +97,24 @@ class CiscaCpu final : public isa::CpuCore {
     isa::Trap trap;
   };
 
-  /// Superblock cache: straight-line runs of predecoded instructions plus
-  /// their pre-resolved execute handlers, direct-mapped on the physical
-  /// address of the first byte.  A block never leaves its first physical
-  /// page (each member instruction lies wholly in the page, so re-aligned
-  /// corrupted streams still decode identically), and is valid only
-  /// while that page's write version is unchanged, so stores, injected
-  /// flips, and reboots into cached code force a rebuild lazily, with no
-  /// store-side hooks.
-  struct BlockInsn {
-    Insn insn{};
-    void (*fn)(CiscaCpu&, const Insn&) = nullptr;
-    u32 phys = kNoPage;  // first-byte physical address (fetch-hook span)
-  };
-  struct Superblock {
-    u32 tag = kNoPage;  // physical address of the first byte
-    Addr vpc = 0;       // virtual pc (guards against phys aliasing)
-    u32 page = 0;
-    u64 ver = 0;
-    std::vector<BlockInsn> insns;
-  };
-  static constexpr u32 kSuperblockEntries = 2048;
-  static constexpr u32 kMaxBlockInsns = 32;
+  using Superblocks = isa::SuperblockEngine<CiscaCpu, Insn>;
+  friend Superblocks;
 
-  /// (Re)build the block starting at vpc/phys0 in place; false when no
-  /// block can start here (first instruction invalid, faulting, or
-  /// crossing into the next page) and the caller must single-step.
-  bool build_block(Superblock& blk, Addr vpc, u32 phys0);
+  // Superblock engine hooks (see isa/superblock.hpp).  Blocks follow the
+  // page rule: every member instruction lies wholly in the block's first
+  // physical page, so re-aligned corrupted streams decode as step() would
+  // and the fetch-hook span is always single-page.
+  bool sb_dispatchable() const {
+    return test_bit(regs_.cr0, kCr0PE) && test_bit(regs_.cr0, kCr0PG);
+  }
+  static u32 sb_index(u32 phys) { return phys; }
+  u32 sb_decode(Addr pc, u32 phys, Insn& insn, Superblocks::OpFn& fn) const;
   static bool block_terminator(const Insn& insn);
+  void trace_fetch(const Insn& insn, u32 phys) {
+    sink_->on_insn_fetch(kSlotEip, regs_.eip, phys, insn.length, 0, 0);
+  }
+  void trace_retire(const Insn&) {}
+  bool take_halt() { return std::exchange(halted_pending_, false); }
 
   /// The register file as the snapshot's word list, in snapshot order.
   static constexpr u32 kSnapshotWords = 28;
@@ -172,9 +164,7 @@ class CiscaCpu final : public isa::CpuCore {
   trace::TraceSink* sink_ = nullptr;
   Addr stack_lo_ = 0, stack_hi_ = 0;
   bool halted_pending_ = false;
-  bool fast_paths_ = false;
-  std::vector<Superblock> sblocks_;  // allocated with the fast paths
-  isa::SuperblockStats sb_stats_;
+  Superblocks sb_;
   std::unique_ptr<CiscaSysRegs> sysregs_;
 };
 

@@ -163,7 +163,8 @@ class FabricCoordinator {
   FabricOptions opt_;
 };
 
-/// The multi-host names: the same coordinator with `hosts` set.
+/// Old names of the multi-host coordinator (the same class with `hosts`
+/// set).  They remain only for perfbench/e2e.cpp; use the Fabric names.
 using RemoteOptions = FabricOptions;
 using RemoteCoordinator = FabricCoordinator;
 

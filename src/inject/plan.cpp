@@ -8,24 +8,6 @@
 
 namespace kfi::inject {
 
-u64 calibrate_workload(kernel::Machine& machine, workload::Workload& wl,
-                       u64 seed) {
-  machine.restore(machine.boot_snapshot());
-  wl.reset(seed);
-  const u64 start = machine.cpu().cycles();
-  while (auto req = wl.next(machine)) {
-    const kernel::Event ev =
-        machine.syscall(req->nr, req->a0, req->a1, req->a2);
-    KFI_CHECK(ev.kind == kernel::EventKind::kSyscallDone,
-              "fault-free calibration run crashed");
-    KFI_CHECK(wl.check(machine, ev.ret),
-              "fault-free calibration run failed validation");
-  }
-  KFI_CHECK(wl.final_check(machine),
-            "fault-free calibration run failed final validation");
-  return machine.cpu().cycles() - start;
-}
-
 double calibrated_kernel_fraction(const kernel::Machine& machine,
                                   u64 nominal_cycles) {
   if (nominal_cycles == 0) return 0.15;
@@ -86,20 +68,20 @@ CampaignPlan build_campaign_plan(const CampaignSpec& spec) {
   kernel::Machine machine(spec.arch, mopts, plan.image);
   auto wl = workload::make_suite(spec.workload_scale);
 
-  // The counting hook declines every call, so installing it during the
-  // errno-plan calibration leaves nominal_cycles bit-identical to an
-  // uninstrumented calibration (the hook-parity tests pin this).
+  // One golden pass calibrates, profiles and counts.  The entry profile
+  // is an observational trace sink and the counting hook declines every
+  // call, so nominal_cycles is bit-identical to an uninstrumented
+  // calibration (the profile and hook-parity tests pin this).
   EligibleCounter counter(spec.errno_model);
   if (spec.kind == CampaignKind::kErrno) {
     machine.set_syscall_result_hook(&counter);
   }
-  plan.nominal_cycles = calibrate_workload(machine, *wl, spec.seed);
+  plan.nominal_cycles =
+      calibrate_workload(machine, *wl, spec.seed, &plan.hot_functions);
   machine.set_syscall_result_hook(nullptr);
   plan.eligible_invocations = counter.count();
   plan.kernel_fraction =
       calibrated_kernel_fraction(machine, plan.nominal_cycles);
-  plan.hot_functions =
-      workload::profile_hot_functions(machine, *wl, 0.95, spec.seed);
 
   TargetGenerator generator(*plan.image, plan.hot_functions,
                             machine.cpu().sysregs().count(),

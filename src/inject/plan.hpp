@@ -65,10 +65,9 @@ struct CampaignPlan {
   double plan_seconds = 0.0;
 };
 
-/// Run the workload fault-free on a freshly restored machine; returns the
-/// calibrated run length in cycles and checks output validity.
-u64 calibrate_workload(kernel::Machine& machine, workload::Workload& wl,
-                       u64 seed);
+/// The golden pass (workload/profiler.hpp): the calibrated fault-free run
+/// length in cycles, with an optional kernel profile taken in the same run.
+using workload::calibrate_workload;
 
 /// Kernel-time share of the calibrated run, read off the machine right
 /// after calibrate_workload().  Falls back to the ExperimentRunner default
@@ -76,8 +75,8 @@ u64 calibrate_workload(kernel::Machine& machine, workload::Workload& wl,
 double calibrated_kernel_fraction(const kernel::Machine& machine,
                                   u64 nominal_cycles);
 
-/// Build the full plan for a spec (codegen, boot, calibrate, profile,
-/// generate targets, pre-draw seeds).
+/// Build the full plan for a spec (codegen, boot, one golden pass that
+/// calibrates and profiles, generate targets, pre-draw seeds).
 CampaignPlan build_campaign_plan(const CampaignSpec& spec);
 
 /// Machine options for the campaign's (and every worker's) machine.

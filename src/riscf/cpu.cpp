@@ -231,13 +231,6 @@ Insn RiscfCpu::decode_at(Addr pc) const {
   return decode(space_.phys().read32(tr.phys, mem::Endian::kBig));
 }
 
-void RiscfCpu::set_fast_paths(bool enabled) {
-  fast_paths_ = enabled;
-  sblocks_.clear();
-  sblocks_.shrink_to_fit();
-  if (enabled) sblocks_.resize(kSuperblockEntries);
-}
-
 isa::StepResult RiscfCpu::step() {
   isa::StepResult result;
   if (debug_.check_insn_bp(regs_.pc)) {
@@ -264,13 +257,9 @@ isa::StepResult RiscfCpu::step() {
     if (insn.op == Op::kInvalid) {
       raise(Cause::kIllegalInstruction, 0, false, insn.raw);
     }
-    if (sink_ != nullptr) {
-      // Fixed 4-byte aligned fetch: never straddles a page.
-      sink_->on_insn_fetch(kSlotPc, regs_.pc, tr.phys, 4, 0, 0);
-      trace_reads(insn);
-    }
+    if (sink_ != nullptr) trace_fetch(insn, tr.phys);
     execute(insn);
-    if (sink_ != nullptr) trace_writes(insn);
+    if (sink_ != nullptr) trace_retire(insn);
     cycles_ += 1;
   } catch (const TrapException& te) {
     result.status = isa::StepStatus::kTrap;
@@ -958,121 +947,18 @@ bool RiscfCpu::block_terminator(const Insn& insn) {
   }
 }
 
-bool RiscfCpu::build_block(Superblock& blk, Addr vpc, u32 phys0) {
-  const mem::PhysicalMemory& pm = space_.phys();
-  blk.tag = 0xFFFFFFFFu;
-  blk.insns.clear();
-  blk.vpc = vpc;
-  blk.page = phys0 >> mem::kPageShift;
-  blk.ver = pm.page_version(blk.page);
-  u32 phys = phys0;
-  while (blk.insns.size() < kMaxBlockInsns &&
-         (phys >> mem::kPageShift) == blk.page) {
-    const Insn insn = decode(pm.read32(phys, mem::Endian::kBig));
-    // Invalid encodings single-step: step() raises with insn.raw as aux.
-    if (insn.op == Op::kInvalid) break;
-    blk.insns.push_back(
-        {insn, op_table()[static_cast<size_t>(insn.op)], phys});
-    phys += 4;
-    if (block_terminator(insn)) break;
-  }
-  if (blk.insns.empty()) return false;
-  blk.tag = phys0;
-  return true;
+u32 RiscfCpu::sb_decode(Addr, u32 phys, Insn& insn,
+                        Superblocks::OpFn& fn) const {
+  insn = decode(space_.phys().read32(phys, mem::Endian::kBig));
+  // Invalid encodings single-step: step() raises with insn.raw as aux.
+  if (insn.op == Op::kInvalid) return 0;
+  fn = op_table()[static_cast<size_t>(insn.op)];
+  return 4;
 }
 
 isa::StepResult RiscfCpu::step_block(const isa::BlockLimits& limits,
                                      u64* consumed) {
-  *consumed = 1;
-  if (!fast_paths_) return step();
-  // Same order as step(): the breakpoint check precedes everything.  The
-  // single-step fallbacks below re-check it harmlessly (a non-matching
-  // check has no effect, and a matching one already returned here).
-  if (debug_.check_insn_bp(regs_.pc)) {
-    isa::StepResult result;
-    result.status = isa::StepStatus::kInsnBp;
-    return result;
-  }
-  // Translation off or an unaligned/unfetchable pc: step() raises with
-  // its own bookkeeping.  MSR.IR can only change in-block via mtmsr or a
-  // trap, both of which end the block, so checking at dispatch is exact;
-  // non-branch instructions advance the pc by 4, keeping it aligned.
-  if ((regs_.msr & kMsrIR) == 0 || (regs_.pc & 3) != 0) return step();
-  const auto tr = space_.translate(regs_.pc, 4, mem::Access::kExecute);
-  if (!tr.ok()) return step();
-  mem::PhysicalMemory& pm = space_.phys();
-  Superblock& blk = sblocks_[(tr.phys >> 2) & (kSuperblockEntries - 1)];
-  bool hit = false;
-  if (blk.tag == tr.phys && blk.vpc == regs_.pc) {
-    if (blk.ver == pm.page_version(blk.page)) {
-      hit = true;
-    } else {
-      ++sb_stats_.invalidations;
-    }
-  }
-  if (hit) {
-    ++sb_stats_.hits;
-  } else {
-    ++sb_stats_.misses;
-    if (!build_block(blk, regs_.pc, tr.phys)) return step();
-  }
-  ++sb_stats_.dispatches;
-
-  isa::StepResult result;
-  current_result_ = &result;
-  const u64 cycle_bound = limits.cycle_bound == 0 ? ~0ull : limits.cycle_bound;
-  const u64 max_insns = limits.max_insns == 0 ? ~0ull : limits.max_insns;
-  const u64 ver = blk.ver;
-  const u32 page = blk.page;
-  const u32 n = static_cast<u32>(blk.insns.size());
-  // No instruction arms the breakpoint (only the harness does, between
-  // run() calls), so an unarmed unit at dispatch stays unarmed for the
-  // whole block and the per-insn check can be skipped.
-  const bool bp_armed = debug_.insn_bp_armed();
-  u64 done = 0;
-  bool bp_stop = false;
-  try {
-    for (u32 i = 0; i < n; ++i) {
-      if (i != 0) {
-        // The machine loop's per-iteration order, inlined: step budget,
-        // cycle-driven events, then the instruction breakpoint.
-        if (done >= max_insns) break;
-        if (cycles_ >= cycle_bound) break;
-        if (bp_armed && debug_.check_insn_bp(regs_.pc)) {
-          result.status = isa::StepStatus::kInsnBp;
-          bp_stop = true;
-          break;
-        }
-      }
-      const BlockInsn& bi = blk.insns[i];
-      if (sink_ != nullptr) {
-        // Fixed 4-byte aligned fetch: never straddles a page.
-        sink_->on_insn_fetch(kSlotPc, regs_.pc, bi.phys, 4, 0, 0);
-        trace_reads(bi.insn);
-      }
-      bi.fn(*this, bi.insn);
-      if (sink_ != nullptr) trace_writes(bi.insn);
-      cycles_ += 1;
-      ++done;
-      if (result.num_data_hits > 0) break;
-      // A store into this block's own page (self-modification, injector
-      // flip) may have rewritten the remaining cached instructions:
-      // re-dispatch so they re-decode from current bytes.
-      if (pm.page_version(page) != ver) break;
-    }
-  } catch (const TrapException& te) {
-    result.status = isa::StepStatus::kTrap;
-    result.trap = te.trap;
-    cycles_ += 1;
-  }
-  current_result_ = nullptr;
-  sb_stats_.block_insns += done;
-  // Executed instructions each stand for one machine-loop iteration; a
-  // trap or breakpoint stop consumed one more (exactly what the old
-  // per-step loop charged against harness step budgets).
-  *consumed =
-      result.status == isa::StepStatus::kTrap || bp_stop ? done + 1 : done;
-  return result;
+  return sb_.step_block(*this, limits, consumed);
 }
 
 void RiscfCpu::trace_reads(const Insn& insn) {

@@ -16,9 +16,9 @@
 
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "isa/cpu.hpp"
+#include "isa/superblock.hpp"
 #include "mem/address_space.hpp"
 #include "riscf/cause.hpp"
 #include "riscf/insn.hpp"
@@ -50,10 +50,10 @@ class RiscfCpu final : public isa::CpuCore {
   void restore(const isa::CpuSnapshot& snap) override;
   bool registers_equal(const isa::CpuSnapshot& snap) const override;
   u64 cycle_reads() const override { return cycle_reads_; }
-  void set_fast_paths(bool enabled) override;
+  void set_fast_paths(bool enabled) override { sb_.set_enabled(enabled); }
   isa::StepResult step_block(const isa::BlockLimits& limits,
                              u64* consumed) override;
-  isa::SuperblockStats superblock_stats() const override { return sb_stats_; }
+  isa::SuperblockStats superblock_stats() const override { return sb_.stats(); }
   void set_trace_sink(trace::TraceSink* sink) override { sink_ = sink; }
   trace::RegSlot sysreg_slot(u32 index) const override;
 
@@ -80,33 +80,24 @@ class RiscfCpu final : public isa::CpuCore {
     isa::Trap trap;
   };
 
-  /// Superblock cache: straight-line runs of predecoded instructions plus
-  /// their pre-resolved execute handlers, direct-mapped on the physical
-  /// word address of the first instruction.  Instructions are fixed-size
-  /// and aligned, so a block covers consecutive words of exactly one
-  /// physical page and is valid only while that page's write version is
-  /// unchanged — stores, injected flips, and reboots into cached code
-  /// force a rebuild.
-  struct BlockInsn {
-    Insn insn{};
-    void (*fn)(RiscfCpu&, const Insn&) = nullptr;
-    u32 phys = 0;
-  };
-  struct Superblock {
-    u32 tag = 0xFFFFFFFFu;  // physical address (never valid: unaligned)
-    Addr vpc = 0;           // virtual pc (guards against phys aliasing)
-    u32 page = 0;
-    u64 ver = 0;
-    std::vector<BlockInsn> insns;
-  };
-  static constexpr u32 kSuperblockEntries = 2048;
-  static constexpr u32 kMaxBlockInsns = 32;
+  using Superblocks = isa::SuperblockEngine<RiscfCpu, Insn>;
+  friend Superblocks;
 
-  /// (Re)build the block starting at vpc/phys0 in place; false when no
-  /// block can start here (invalid first instruction) and the caller must
-  /// single-step.
-  bool build_block(Superblock& blk, Addr vpc, u32 phys0);
+  // Superblock engine hooks (see isa/superblock.hpp).  Instructions are
+  // fixed-size and aligned, so a block covers consecutive words of exactly
+  // one physical page, and no fetch straddles a page.
+  bool sb_dispatchable() const {
+    return (regs_.msr & kMsrIR) != 0 && (regs_.pc & 3) == 0;
+  }
+  static u32 sb_index(u32 phys) { return phys >> 2; }
+  u32 sb_decode(Addr pc, u32 phys, Insn& insn, Superblocks::OpFn& fn) const;
   static bool block_terminator(const Insn& insn);
+  void trace_fetch(const Insn& insn, u32 phys) {
+    sink_->on_insn_fetch(kSlotPc, regs_.pc, phys, 4, 0, 0);
+    trace_reads(insn);
+  }
+  void trace_retire(const Insn& insn) { trace_writes(insn); }
+  static bool take_halt() { return false; }  // no halt instruction
 
   /// Call f(word) for every snapshot word, in snapshot order: the GPRs,
   /// the named registers, then the inert SPR storage.
@@ -158,9 +149,7 @@ class RiscfCpu final : public isa::CpuCore {
   isa::StepResult* current_result_ = nullptr;
   trace::TraceSink* sink_ = nullptr;
   std::map<u32, u32> spr_storage_;  // inert supervisor SPRs (BATs, PMCs, ...)
-  bool fast_paths_ = false;
-  std::vector<Superblock> sblocks_;  // allocated with the fast paths
-  isa::SuperblockStats sb_stats_;
+  Superblocks sb_;
   std::unique_ptr<RiscfSysRegs> sysregs_;
 };
 

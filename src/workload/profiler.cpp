@@ -1,6 +1,8 @@
 #include "workload/profiler.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
 
 #include "common/error.hpp"
 #include "trace/sink.hpp"
@@ -8,6 +10,8 @@
 namespace kfi::workload {
 
 namespace {
+
+std::atomic<u64> g_golden_passes{0};
 
 /// Counts function entries as instructions are fetched: the kernprof
 /// counter.  A flat table over the image's code maps each entry pc to its
@@ -51,32 +55,12 @@ class EntryCounter final : public trace::TraceSink {
   std::vector<u64> counts_;
 };
 
-}  // namespace
-
-std::vector<HotFunction> profile_hot_functions(kernel::Machine& machine,
-                                               Workload& wl, double coverage,
-                                               u64 seed) {
-  EntryCounter counter(machine.image());
-  machine.restore(machine.boot_snapshot());
-  {
-    // Detach on every exit, so a failed check leaves no dangling sink.
-    struct Attached {
-      kernel::Machine& m;
-      ~Attached() { m.set_trace_sink(nullptr); }
-    } attached{machine};
-    machine.set_trace_sink(&counter);
-    wl.reset(seed);
-    while (auto req = wl.next(machine)) {
-      const kernel::Event ev =
-          machine.syscall(req->nr, req->a0, req->a1, req->a2);
-      KFI_CHECK(ev.kind == kernel::EventKind::kSyscallDone,
-                "fault-free profiling run crashed — kernel bug");
-      wl.check(machine, ev.ret);
-    }
-  }
-
-  const std::vector<u64>& counts = counter.counts();
-  const auto& funcs = machine.image().functions;
+/// Entered functions in descending entry order, truncated at `coverage`
+/// cumulative share.
+std::vector<HotFunction> rank(const kir::Image& image,
+                              const std::vector<u64>& counts,
+                              double coverage) {
+  const auto& funcs = image.functions;
   u64 total = 0;
   for (const u64 c : counts) total += c;
   KFI_CHECK(total > 0, "profiling run recorded no function entries");
@@ -105,6 +89,51 @@ std::vector<HotFunction> profile_hot_functions(kernel::Machine& machine,
     }
   }
   hot.resize(keep);
+  return hot;
+}
+
+}  // namespace
+
+u64 calibrate_workload(kernel::Machine& machine, Workload& wl, u64 seed,
+                       std::vector<HotFunction>* hot, double coverage) {
+  g_golden_passes.fetch_add(1, std::memory_order_relaxed);
+  std::optional<EntryCounter> counter;
+  if (hot != nullptr) counter.emplace(machine.image());
+  machine.restore(machine.boot_snapshot());
+  // Detach on every exit, so a failed check leaves no dangling sink.
+  struct Attached {
+    kernel::Machine& m;
+    bool on;
+    ~Attached() {
+      if (on) m.set_trace_sink(nullptr);
+    }
+  } attached{machine, counter.has_value()};
+  if (counter) machine.set_trace_sink(&*counter);
+  wl.reset(seed);
+  const u64 start = machine.cpu().cycles();
+  while (auto req = wl.next(machine)) {
+    const kernel::Event ev =
+        machine.syscall(req->nr, req->a0, req->a1, req->a2);
+    KFI_CHECK(ev.kind == kernel::EventKind::kSyscallDone,
+              "fault-free calibration run crashed");
+    KFI_CHECK(wl.check(machine, ev.ret),
+              "fault-free calibration run failed validation");
+  }
+  KFI_CHECK(wl.final_check(machine),
+            "fault-free calibration run failed final validation");
+  if (counter) *hot = rank(machine.image(), counter->counts(), coverage);
+  return machine.cpu().cycles() - start;
+}
+
+u64 golden_passes() {
+  return g_golden_passes.load(std::memory_order_relaxed);
+}
+
+std::vector<HotFunction> profile_hot_functions(kernel::Machine& machine,
+                                               Workload& wl, double coverage,
+                                               u64 seed) {
+  std::vector<HotFunction> hot;
+  calibrate_workload(machine, wl, seed, &hot, coverage);
   machine.restore(machine.boot_snapshot());
   return hot;
 }

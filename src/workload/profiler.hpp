@@ -1,10 +1,12 @@
-// Kernel profiling (the paper's kernprof step).
+// The golden pass and kernel profiling (the paper's kernprof step).
 //
-// Runs a workload on a fault-free machine with a function-entry counting
-// trace sink attached and reports the most frequently used kernel
-// functions covering at least the requested share of all entries — the
-// paper selected functions representing >= 95% of kernel usage as
-// code-injection targets (Sections 1 and 3.5).
+// The golden pass runs a workload on a fault-free machine and checks every
+// result: its length calibrates a campaign's hang budget and kernel-time
+// share.  The same pass can count function entries through a trace sink
+// and report the most frequently used kernel functions covering at least
+// the requested share of all entries — the paper selected functions
+// representing >= 95% of kernel usage as code-injection targets (Sections
+// 1 and 3.5).
 #pragma once
 
 #include <string>
@@ -24,11 +26,21 @@ struct HotFunction {
   double cumulative = 0.0;   // running share in rank order
 };
 
-/// Profile `wl` on a freshly restored machine; returns functions in
-/// descending entry order, truncated at `coverage` cumulative share.
-/// The machine is restored to its boot snapshot before and after; the
-/// profiler attaches its own trace sink for the run and detaches it, so
-/// the caller must not have one attached.
+/// The golden pass: restore the boot snapshot, run `wl` fault-free under
+/// `seed`, and check every result and the final state; returns the run
+/// length in cycles.  With `hot` set, the same run also takes the kernel
+/// profile into it (as profile_hot_functions returns it) through a trace
+/// sink attached for the run, so the caller must not have one attached.
+u64 calibrate_workload(kernel::Machine& machine, Workload& wl, u64 seed,
+                       std::vector<HotFunction>* hot = nullptr,
+                       double coverage = 0.95);
+
+/// Golden passes run so far in this process (a diagnostic counter).
+u64 golden_passes();
+
+/// Profile `wl` in its own golden pass; returns functions in descending
+/// entry order, truncated at `coverage` cumulative share.  The machine is
+/// restored to its boot snapshot before and after.
 std::vector<HotFunction> profile_hot_functions(kernel::Machine& machine,
                                                Workload& wl,
                                                double coverage = 0.95,

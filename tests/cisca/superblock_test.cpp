@@ -317,7 +317,8 @@ TEST(CiscaSuperblockTest, DataBreakpointHitEndsTheDispatchAfterThatInsn) {
   EXPECT_EQ(rig.cpu.regs().gpr[kEbx], 2u);
 }
 
-TEST(CiscaSuperblockTest, InvalidOpcodeRaisesUdWithItsByteAtBlockStartAndMidBlock) {
+TEST(CiscaSuperblockTest,
+     InvalidOpcodeRaisesUdWithItsByteAtBlockStartAndMidBlock) {
   // 0x06 and 0x0E (push es/cs) are undefined in this flat kernel model.
   // #UD carries the first opcode byte in aux, whether the invalid byte
   // opens a dispatch or ends a block that ran before it.

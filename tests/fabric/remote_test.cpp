@@ -32,8 +32,8 @@
 #include <fstream>
 #include <thread>
 
+#include "fabric/coordinator.hpp"
 #include "fabric/net.hpp"
-#include "fabric/remote.hpp"
 #include "fabric/shard.hpp"
 #include "fabric/wire.hpp"
 #include "inject/campaign.hpp"
@@ -114,9 +114,9 @@ class Daemon {
   std::string dir_;
 };
 
-RemoteOptions base_options(const std::string& tag,
+FabricOptions base_options(const std::string& tag,
                            const std::vector<const Daemon*>& daemons) {
-  RemoteOptions opt;
+  FabricOptions opt;
   for (const Daemon* d : daemons) opt.hosts.push_back(d->host());
   opt.journal_prefix =
       (std::filesystem::temp_directory_path() / ("kfi_remote_" + tag))
@@ -128,7 +128,7 @@ RemoteOptions base_options(const std::string& tag,
   return opt;
 }
 
-void remove_shards(const RemoteCoordinator& coordinator, u32 total) {
+void remove_shards(const FabricCoordinator& coordinator, u32 total) {
   for (const std::string& p : coordinator.journal_paths(total)) {
     std::filesystem::remove(p);
   }
@@ -146,7 +146,7 @@ TEST_P(RemoteLoopbackTest, TwoDaemonsReproduceThePinnedFingerprint) {
   ASSERT_GT(d1.port(), 0);
   ASSERT_GT(d2.port(), 0);
 
-  RemoteOptions opt = base_options(
+  FabricOptions opt = base_options(
       std::string("loopback_") + (arch == isa::Arch::kCisca ? "p4" : "g4"),
       {&d1, &d2});
   u32 progress_calls = 0;
@@ -156,7 +156,7 @@ TEST_P(RemoteLoopbackTest, TwoDaemonsReproduceThePinnedFingerprint) {
     EXPECT_EQ(hosts.size(), 2u);
     last = hosts;
   };
-  RemoteCoordinator coordinator(opt);
+  FabricCoordinator coordinator(opt);
   remove_shards(coordinator, total);
 
   SpliceStats stats;
@@ -208,7 +208,7 @@ TEST(RemoteSpinCounters, FreshRunReportsTheInProcessTotals) {
   Daemon d2("spin2");
   ASSERT_GT(d1.port(), 0);
   ASSERT_GT(d2.port(), 0);
-  RemoteCoordinator coordinator(base_options("spin", {&d1, &d2}));
+  FabricCoordinator coordinator(base_options("spin", {&d1, &d2}));
   remove_shards(coordinator, total);
   const CampaignResult result = coordinator.run(plan);
 
@@ -233,10 +233,10 @@ TEST(RemoteReuse, BackToBackRunsOnTheSameDaemonsSeeNoDeaths) {
   ASSERT_GT(d1.port(), 0);
   ASSERT_GT(d2.port(), 0);
 
-  RemoteOptions opt = base_options("reuse", {&d1, &d2});
+  FabricOptions opt = base_options("reuse", {&d1, &d2});
   opt.heartbeat_seconds = 30.0;
   for (int run = 0; run < 2; ++run) {
-    RemoteCoordinator coordinator(opt);
+    FabricCoordinator coordinator(opt);
     remove_shards(coordinator, total);
     const CampaignResult result = coordinator.run(plan);
     EXPECT_EQ(inject::result_fingerprint(result), kPinnedCisca)
@@ -249,7 +249,7 @@ TEST(RemoteReuse, BackToBackRunsOnTheSameDaemonsSeeNoDeaths) {
   // A resuming rerun (fresh=false) finds every index in the daemons'
   // shard journals: the daemons report all of them as resumed.
   opt.fresh = false;
-  RemoteCoordinator coordinator(opt);
+  FabricCoordinator coordinator(opt);
   const CampaignResult resumed = coordinator.run(plan);
   EXPECT_EQ(inject::result_fingerprint(resumed), kPinnedCisca);
   EXPECT_EQ(resumed.resumed_records, total);
@@ -279,7 +279,7 @@ TEST(RemoteChaos, Kill9MidShardRecoversBitIdentically) {
   ASSERT_GT(d1.port(), 0);
   ASSERT_GT(d2.port(), 0);
 
-  RemoteOptions opt = base_options("chaos", {&d1, &d2});
+  FabricOptions opt = base_options("chaos", {&d1, &d2});
   opt.max_restarts = 3;
   opt.min_workers = 1;  // degrade gracefully onto the survivor
   // kill -9 daemon 2 the moment its shard is genuinely mid-flight: some
@@ -295,7 +295,7 @@ TEST(RemoteChaos, Kill9MidShardRecoversBitIdentically) {
       }
     }
   };
-  RemoteCoordinator coordinator(opt);
+  FabricCoordinator coordinator(opt);
   remove_shards(coordinator, total);
 
   const CampaignResult result = coordinator.run(plan);
@@ -527,7 +527,7 @@ TEST(RemoteBounds, OversizedSubmitRefusedFromItsHeader) {
   // The daemon still serves an ordinary campaign afterwards.
   const CampaignPlan plan =
       build_campaign_plan(pinned_spec(isa::Arch::kCisca));
-  RemoteCoordinator coordinator(base_options("oversize", {&daemon}));
+  FabricCoordinator coordinator(base_options("oversize", {&daemon}));
   remove_shards(coordinator, static_cast<u32>(plan.targets.size()));
   const CampaignResult result = coordinator.run(plan);
   EXPECT_EQ(inject::result_fingerprint(result), kPinnedCisca);

@@ -3,8 +3,9 @@
 // single-stepping while doing so.  Every injection campaign depends on
 // this — corrupted kernels jump into data, stacks, and re-aligned byte
 // soup, and the only acceptable outcomes are architectural traps,
-// breakpoints, halts, or plain execution.  A host-side exception (kfi::InternalError) anywhere in
-// these paths would poison campaign statistics.
+// breakpoints, halts, or plain execution.  A host-side exception
+// (kfi::InternalError) anywhere in these paths would poison campaign
+// statistics.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -152,7 +153,8 @@ void fuzz_cpu(mem::Endian endian, u64 seed) {
       ASSERT_EQ(rb.trap.cause, rs.trap.cause) << "dispatch " << dispatch;
       ASSERT_EQ(rb.trap.pc, rs.trap.pc) << "dispatch " << dispatch;
       ASSERT_EQ(rb.trap.addr, rs.trap.addr) << "dispatch " << dispatch;
-      ASSERT_EQ(rb.trap.has_addr, rs.trap.has_addr) << "dispatch " << dispatch;
+      ASSERT_EQ(rb.trap.has_addr, rs.trap.has_addr)
+          << "dispatch " << dispatch;
       ASSERT_EQ(rb.trap.aux, rs.trap.aux) << "dispatch " << dispatch;
       ASSERT_EQ(rb.num_data_hits, rs.num_data_hits) << "dispatch " << dispatch;
       for (u8 h = 0; h < rb.num_data_hits; ++h) {

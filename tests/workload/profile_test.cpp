@@ -97,5 +97,18 @@ TEST(ProfilePinTest, RiscfHotFunctionsMatchThePin) {
   expect_pinned_profiles(isa::Arch::kRiscf);
 }
 
+TEST(GoldenPassTest, PlanBuildRunsOneFaultFreePass) {
+  // Calibration, profile and errno counting share one golden pass.
+  for (const auto arch : {isa::Arch::kCisca, isa::Arch::kRiscf}) {
+    inject::CampaignSpec spec;
+    spec.arch = arch;
+    spec.injections = 1;
+    const u64 before = golden_passes();
+    const inject::CampaignPlan plan = inject::build_campaign_plan(spec);
+    EXPECT_EQ(golden_passes() - before, 1u);
+    EXPECT_FALSE(plan.hot_functions.empty());
+  }
+}
+
 }  // namespace
 }  // namespace kfi::workload

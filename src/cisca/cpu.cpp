@@ -319,7 +319,7 @@ isa::StepResult CiscaCpu::step() {
   try {
     // Loss of protected mode or paging (e.g. a CR0 bit flip) is immediately
     // fatal in a protected-mode kernel: the very next fetch #GPs.
-    if (!sb_dispatchable()) {
+    if (!can_fetch()) {
       raise(Cause::kGeneralProtection, 0, false, regs_.cr0);
     }
     const FetchWindow window = fetch_window(regs_.eip);
@@ -667,6 +667,27 @@ struct CiscaOps {
     c.regs_.eip += insn.length;
   }
   static void imul(CiscaCpu& c, const Insn& insn) {
+    if (insn.src.kind == OperandKind::kNone) {
+      // One-operand form (group 3 /5): the signed counterpart of mul.
+      const u8 w = insn.width;
+      const i64 a = sign_extend32(c.read_reg(kEax, w), w * 8);
+      const i64 b = sign_extend32(c.read_operand(insn.dst, w), w * 8);
+      const i64 r = a * b;
+      c.cycles_ += 6;
+      const u64 low = static_cast<u64>(r) & kWidthMask[w];
+      if (w == 1) {
+        c.write_reg(kEax, 2, static_cast<u32>(r));
+      } else {
+        c.write_reg(kEax, w, static_cast<u32>(low));
+        c.write_reg(kEdx, w, static_cast<u32>((r >> (w * 8)) & kWidthMask[w]));
+      }
+      const bool high = r != sign_extend32(static_cast<u32>(low), w * 8);
+      c.regs_.eflags = set_bits32(c.regs_.eflags, kFlagCF, 1, high);
+      c.regs_.eflags = set_bits32(c.regs_.eflags, kFlagOF, 1, high);
+      c.trace_rm(kSlotEflags);
+      c.regs_.eip += insn.length;
+      return;
+    }
     if (insn.src_width == 4 && insn.dst.kind == OperandKind::kReg) {
       // 3-operand form: dst = src * imm.
       const i64 r =

@@ -104,7 +104,7 @@ class CiscaCpu final : public isa::CpuCore {
   // page rule: every member instruction lies wholly in the block's first
   // physical page, so re-aligned corrupted streams decode as step() would
   // and the fetch-hook span is always single-page.
-  bool sb_dispatchable() const {
+  bool can_fetch() const {
     return test_bit(regs_.cr0, kCr0PE) && test_bit(regs_.cr0, kCr0PG);
   }
   static u32 sb_index(u32 phys) { return phys; }

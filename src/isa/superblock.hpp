@@ -12,8 +12,9 @@
 // SuperblockEngine<Cpu, Insn>, befriends it and forwards
 // CpuCore::step_block to it.  The models are final classes, so the engine
 // calls their hooks directly, with nothing virtual in the hot loop:
-//   sb_dispatchable()    the dispatch precondition; when false the
-//                        dispatch single-steps and step() raises the fault
+//   can_fetch()          the dispatch precondition: false when step()
+//                        would fault before fetching, so the dispatch
+//                        single-steps and step() raises
 //   sb_index(phys)       cache index of a block starting at `phys`
 //   sb_decode(pc, phys, insn, fn)
 //                        decode one instruction from its page alone; its
@@ -67,7 +68,7 @@ class SuperblockEngine {
     // or a trap, both of which end the block, so checking it at dispatch is
     // exact.  It keeps riscf's pc aligned, so the first byte's translation
     // covers the whole first instruction on both ISAs.
-    if (!cpu.sb_dispatchable()) return cpu.step();
+    if (!cpu.can_fetch()) return cpu.step();
     const auto tr = cpu.space_.translate(cpu.pc(), 1, mem::Access::kExecute);
     if (!tr.ok()) return cpu.step();  // unfetchable pc: step() raises
     mem::PhysicalMemory& pm = cpu.space_.phys();

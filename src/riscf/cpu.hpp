@@ -86,7 +86,7 @@ class RiscfCpu final : public isa::CpuCore {
   // Superblock engine hooks (see isa/superblock.hpp).  Instructions are
   // fixed-size and aligned, so a block covers consecutive words of exactly
   // one physical page, and no fetch straddles a page.
-  bool sb_dispatchable() const {
+  bool can_fetch() const {
     return (regs_.msr & kMsrIR) != 0 && (regs_.pc & 3) == 0;
   }
   static u32 sb_index(u32 phys) { return phys >> 2; }

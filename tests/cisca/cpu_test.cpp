@@ -186,6 +186,29 @@ TEST_F(CiscaCpuTest, DivideComputesQuotientRemainder) {
   EXPECT_EQ(cpu_.regs().gpr[kEdx], 2u);
 }
 
+TEST_F(CiscaCpuTest, OneOperandImulWidensSigned) {
+  // Group 3 /5 (F7 E9 = imul ecx, F6 E9 = imul cl): edx:eax = eax * ecx
+  // and ax = al * cl, signed; CF and OF report a product that does not
+  // fit the low half.  Corrupted text decodes to these forms too.
+  Asm a(kCode);
+  a.mov_r_imm(kEax, static_cast<u32>(-3));
+  a.mov_r_imm(kEcx, 5);
+  a.emit_bytes({0xF7, 0xE9});
+  a.mov_rr(kEbx, kEdx);
+  a.mov_rr(kEsi, kEax);
+  a.mov_r_imm(kEax, 0x40);
+  a.mov_r_imm(kEcx, 0x04);
+  a.emit_bytes({0xF6, 0xE9});  // 0x40 * 4 = 256: overflows al
+  a.hlt();
+  load(a);
+  EXPECT_EQ(run().status, isa::StepStatus::kHalted);
+  EXPECT_EQ(cpu_.regs().gpr[kEsi], static_cast<u32>(-15));
+  EXPECT_EQ(cpu_.regs().gpr[kEbx], 0xFFFFFFFFu);
+  EXPECT_EQ(cpu_.regs().gpr[kEax] & 0xFFFF, 0x100u);
+  EXPECT_TRUE(test_bit(cpu_.regs().eflags, kFlagCF));
+  EXPECT_TRUE(test_bit(cpu_.regs().eflags, kFlagOF));
+}
+
 TEST_F(CiscaCpuTest, BoundInRangeContinues) {
   Asm a(kCode);
   MemOperand m;

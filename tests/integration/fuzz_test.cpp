@@ -8,6 +8,7 @@
 // statistics.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -92,6 +93,25 @@ struct FuzzRig {
   }
 };
 
+/// A random code word.  cisca takes raw random bytes; riscf's opcode map is
+/// sparse, so three words in four get a primary opcode the decoder knows
+/// (loads and stores with a small aligned displacement), or nearly every
+/// run would end at its first illegal instruction.
+template <typename Cpu>
+u32 random_code_word(Rng& rng) {
+  const u32 word = rng.next_u32();
+  if constexpr (std::is_same_v<Cpu, riscf::RiscfCpu>) {
+    static constexpr u32 kPrimary[] = {7,  10, 11, 12, 14, 15, 16, 18, 21,
+                                       24, 25, 28, 31, 32, 33, 34, 36, 37,
+                                       38, 40, 44};
+    if (rng.below(4) == 0) return word;
+    const u32 op = kPrimary[rng.below(std::size(kPrimary))];
+    const u32 d = op >= 32 ? (word & 0xFC) : (word & 0xFFFF);
+    return (op << 26) | (word & 0x03FF0000u) | d;
+  }
+  return word;
+}
+
 /// Differential fuzz: two CPUs get the same random code and state.  One
 /// runs block dispatches with its fast paths on, under random step
 /// budgets, cycle bounds and breakpoints; its twin single-steps.  After
@@ -102,45 +122,72 @@ struct FuzzRig {
 /// every trace hook.  Memory is compared at the end of each round.  Both
 /// must also execute arbitrary garbage without a host exception: the
 /// acceptable outcomes are traps, breakpoints, halts and plain execution.
+///
+/// Each round restarts both CPUs from the same register snapshot with
+/// random pointers into the mapped regions, so memory operands often land
+/// in mapped memory: loads, stores (into the code too, which must end the
+/// dispatch), and data-breakpoint hits.
 template <typename Cpu>
 void fuzz_cpu(mem::Endian endian, u64 seed) {
-  constexpr u32 kInsnAlign = std::is_same_v<Cpu, riscf::RiscfCpu> ? 4 : 1;
+  constexpr bool kRiscf = std::is_same_v<Cpu, riscf::RiscfCpu>;
+  constexpr u32 kInsnAlign = kRiscf ? 4 : 1;
   FuzzRig<Cpu> blocked(endian), stepped(endian);
   blocked.cpu.set_fast_paths(true);
+  const isa::CpuSnapshot reset = blocked.cpu.snapshot();
   Rng rng(seed);
-  for (u32 round = 0; round < 60; ++round) {
-    SCOPED_TRACE("round " + std::to_string(round));
-    // Fresh random code blob, start pc and breakpoints, identical in both.
-    for (Addr a = kCode; a < kCode + kCodeBytes; a += 4) {
-      const u32 word = rng.next_u32();
+  const auto write_code = [&](Addr from, Addr to) {
+    for (Addr a = from; a < to; a += 4) {
+      const u32 word = random_code_word<Cpu>(rng);
       blocked.space.vwrite32(a, word);
       stepped.space.vwrite32(a, word);
     }
-    const Addr pc = kCode + 4 * static_cast<u32>(rng.below(kCodeBytes / 4));
+  };
+  const auto pointer = [&] {
+    return rng.chance(0.5)
+               ? kStackTop - kStackBytes + 4 * static_cast<u32>(rng.below(
+                                                   kStackBytes / 4))
+               : kCode + 4 * static_cast<u32>(rng.below(kCodeBytes / 4));
+  };
+  write_code(kCode, kCode + kCodeBytes);
+  u64 data_hits = 0;
+  for (u32 round = 0; round < 1000; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Fresh code in a random window, start pc, registers and breakpoints,
+    // identical in both.
+    const Addr window = kCode + 256 * static_cast<u32>(rng.below(64));
+    write_code(window, window + 256);
+    const Addr pc = kCode + kInsnAlign * static_cast<u32>(rng.below(
+                                             kCodeBytes / kInsnAlign));
     const bool armed_insn_bp = rng.chance(0.5);
     const Addr insn_bp = pc + kInsnAlign * static_cast<u32>(rng.below(32));
-    const Addr data_bp = kStackTop - 4 * static_cast<u32>(1 + rng.below(64));
+    const Addr data_bp = kStackTop - kStackBytes +
+                         4 * static_cast<u32>(rng.below(kStackBytes / 4 - 128));
+    const u32 data_len = 4 * static_cast<u32>(rng.range(1, 128));
+    const bool data_read = rng.chance(0.5);
+    const bool code_bp = rng.chance(0.3);
+    const Addr code_bp_at = kCode + 4 * static_cast<u32>(rng.below(
+                                            kCodeBytes / 4 - 64));
+    std::vector<u32> gprs(kRiscf ? 32 : 8);
+    for (u32& g : gprs) g = pointer();
     const bool traced = (round & 1) != 0;
     for (FuzzRig<Cpu>* rig : {&blocked, &stepped}) {
+      rig->cpu.restore(reset);
       rig->cpu.set_pc(pc);
-      rig->cpu.regs().gpr[4] = kStackTop;  // some plausible register state
-      if constexpr (std::is_same_v<Cpu, riscf::RiscfCpu>) {
-        rig->cpu.regs().gpr[1] = kStackTop;
-      }
-      rig->cpu.debug().clear_all();
+      for (size_t g = 0; g < gprs.size(); ++g) rig->cpu.regs().gpr[g] = gprs[g];
       if (armed_insn_bp) rig->cpu.debug().arm_insn_bp(insn_bp);
-      rig->cpu.debug().arm_data_bp(0, data_bp, 64, true, true);
+      rig->cpu.debug().arm_data_bp(0, data_bp, data_len, data_read, true);
+      if (code_bp) rig->cpu.debug().arm_data_bp(1, code_bp_at, 256, true, true);
       rig->cpu.set_trace_sink(traced ? &rig->hooks : nullptr);
     }
-    isa::StepResult rb;
-    for (u32 dispatch = 0; dispatch < 3000; ++dispatch) {
+    for (u32 dispatch = 0; dispatch < 200; ++dispatch) {
       isa::BlockLimits limits;
       if (rng.chance(0.25)) limits.max_insns = rng.range(1, 8);
       if (rng.chance(0.25)) {
         limits.cycle_bound = blocked.cpu.cycles() + rng.range(1, 40);
       }
       u64 consumed = 0;
-      rb = blocked.cpu.step_block(limits, &consumed);  // must never throw
+      const isa::StepResult rb =
+          blocked.cpu.step_block(limits, &consumed);  // must never throw
       isa::StepResult rs;
       u64 steps = 0;
       while (steps < consumed) {
@@ -161,6 +208,7 @@ void fuzz_cpu(mem::Endian endian, u64 seed) {
         ASSERT_EQ(rb.data_hits[h].addr, rs.data_hits[h].addr);
         ASSERT_EQ(rb.data_hits[h].is_write, rs.data_hits[h].is_write);
       }
+      data_hits += rb.num_data_hits;
       ASSERT_TRUE(blocked.cpu.registers_equal(stepped.cpu.snapshot()))
           << "dispatch " << dispatch;
       ASSERT_EQ(blocked.cpu.cycles(), stepped.cpu.cycles())
@@ -177,9 +225,13 @@ void fuzz_cpu(mem::Endian endian, u64 seed) {
     ASSERT_EQ(blocked.bytes(kStackTop - kStackBytes, kStackBytes),
               stepped.bytes(kStackTop - kStackBytes, kStackBytes));
   }
-  // The blocked CPU really dispatched blocks, so the builder (cisca's
-  // page-end window included) was fed the same garbage.
-  EXPECT_GT(blocked.cpu.superblock_stats().dispatches, 0u);
+  // The garbage reached every part of the engine: multi-instruction
+  // blocks (cisca's page-end window included), invalidations by stores
+  // into cached code, and data-breakpoint stops.
+  const isa::SuperblockStats sb = blocked.cpu.superblock_stats();
+  EXPECT_GT(sb.block_insns, sb.dispatches);
+  EXPECT_GT(sb.invalidations, 0u);
+  EXPECT_GT(data_hits, 0u);
 }
 
 TEST(FuzzTest, CiscaExecutesRandomBytesWithoutHostFaults) {

@@ -98,7 +98,7 @@ TEST(ProfilePinTest, RiscfHotFunctionsMatchThePin) {
 }
 
 TEST(GoldenPassTest, PlanBuildRunsOneFaultFreePass) {
-  // Calibration, profile and errno counting share one golden pass.
+  // Calibration and profile share one golden pass.
   for (const auto arch : {isa::Arch::kCisca, isa::Arch::kRiscf}) {
     inject::CampaignSpec spec;
     spec.arch = arch;

@@ -7,9 +7,13 @@
 // CPU with its fast paths off running the identical program.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cisca/cpu.hpp"
 #include "cisca/encode.hpp"
 #include "mem/address_space.hpp"
+#include "trace/sink.hpp"
 
 namespace kfi::cisca {
 namespace {
@@ -348,6 +352,177 @@ TEST(CiscaSuperblockTest,
   EXPECT_EQ(r.trap.pc, kCode + 10);
   EXPECT_EQ(r.trap.aux, 0x0Eu);
   EXPECT_EQ(mid.cpu.regs().gpr[kEbx], 2u);
+}
+
+// Trap-instruction contract.  int 0x80 and int 0x83 run on every kernel
+// entry and exit; int 0x82, other vectors and ud2 are rarer.  Whichever
+// way a CPU delivers them, a trapping instruction must end its dispatch
+// with the same status, trap and cycle charge as single-stepping, count
+// one machine-loop iteration for the trap, and leave the trace showing
+// its fetch but no retirement.
+
+/// Records the CPU-side trace hooks in call order.
+class HookLog final : public trace::TraceSink {
+ public:
+  std::vector<std::string> events;
+
+  void on_insn_fetch(trace::RegSlot slot, Addr pc, u32 phys1, u32 len1,
+                     u32 phys2, u32 len2) override {
+    add("fetch", {slot, pc, phys1, len1, phys2, len2});
+  }
+  void on_reg_read(trace::RegSlot slot) override { add("read", {slot}); }
+  void on_reg_write(trace::RegSlot slot) override { add("write", {slot}); }
+  void on_reg_merge(trace::RegSlot slot) override { add("merge", {slot}); }
+  void on_mem_read(Addr va, u32 phys, u32 len) override {
+    add("mem_read", {va, phys, len});
+  }
+  void on_mem_write(Addr va, u32 phys, u32 len) override {
+    add("mem_write", {va, phys, len});
+  }
+  void on_branch_decision() override { add("branch", {}); }
+  void on_priv_transition(trace::PrivEvent) override { add("priv", {}); }
+  void on_ctx_save(trace::RegSlot, u32) override { add("ctx_save", {}); }
+  void on_ctx_restore(trace::RegSlot, u32) override {
+    add("ctx_restore", {});
+  }
+  void on_glue_reg_set(trace::RegSlot) override { add("glue_set", {}); }
+  void on_glue_mem_set(u32, u32) override { add("glue_mem", {}); }
+  void on_glue_reg_copy(trace::RegSlot, trace::RegSlot) override {
+    add("glue_copy", {});
+  }
+  void on_syscall_result(trace::RegSlot) override { add("result", {}); }
+
+  static std::string fetch(Addr pc, u32 phys, u32 len) {
+    return format("fetch", {kSlotEip, pc, phys, len, 0, 0});
+  }
+  static std::string write(trace::RegSlot slot) {
+    return format("write", {slot});
+  }
+
+ private:
+  static std::string format(const char* name, std::vector<u32> args) {
+    std::string out = name;
+    for (const u32 a : args) out += " " + std::to_string(a);
+    return out;
+  }
+  void add(const char* name, std::vector<u32> args) {
+    events.push_back(format(name, std::move(args)));
+  }
+};
+
+struct TrapCase {
+  const char* name;
+  std::vector<u8> bytes;  // the trapping instruction
+  Cause cause;
+  u32 aux;
+  bool advances;  // the trap pc is the return address
+};
+
+std::vector<TrapCase> trap_cases() {
+  const auto encode = [](auto emit) {
+    Asm a(kCode);
+    emit(a);
+    return a.finish();
+  };
+  return {
+      {"int 0x80", encode([](Asm& a) { a.int_(0x80); }), Cause::kSyscall, 0,
+       true},
+      {"int 0x83", encode([](Asm& a) { a.int_(0x83); }),
+       Cause::kSyscallReturn, 0, true},
+      {"int 0x82", encode([](Asm& a) { a.int_(0x82); }), Cause::kKernelPanic,
+       0, true},
+      {"int 0x42", encode([](Asm& a) { a.int_(0x42); }),
+       Cause::kGeneralProtection, 0x42, true},
+      {"ud2", encode([](Asm& a) { a.ud2(); }), Cause::kInvalidOpcode, 0x0F0B,
+       false},
+  };
+}
+
+TEST(CiscaSuperblockTest, TrapInstructionAtBlockEndMatchesTheContract) {
+  for (const TrapCase& tc : trap_cases()) {
+    SCOPED_TRACE(tc.name);
+    Asm a(kCode);
+    a.mov_r_imm(kEax, 1);  // + 0
+    a.mov_r_imm(kEbx, 2);  // + 5
+    a.emit_bytes(tc.bytes);  // + 10
+    const std::vector<u8> program = a.finish();
+    const u32 len = static_cast<u32>(tc.bytes.size());
+    const Addr trap_pc = kCode + 10 + (tc.advances ? len : 0);
+
+    Rig rig(true);
+    HookLog hooks;
+    rig.load(program);
+    rig.cpu.set_trace_sink(&hooks);
+    const u32 phys = rig.space.translate(kCode, 1, mem::Access::kRead).phys;
+    u64 consumed = 0;
+    const isa::StepResult r = rig.cpu.step_block({}, &consumed);
+    ASSERT_EQ(r.status, isa::StepStatus::kTrap);
+    EXPECT_EQ(r.trap.cause, static_cast<u32>(tc.cause));
+    EXPECT_EQ(r.trap.pc, trap_pc);
+    EXPECT_FALSE(r.trap.has_addr);
+    EXPECT_EQ(r.trap.aux, tc.aux);
+    EXPECT_EQ(rig.cpu.pc(), trap_pc);
+    EXPECT_EQ(consumed, 3u);             // two retire, one for the trap
+    EXPECT_EQ(rig.cpu.cycles(), 3u);     // the trap is charged one cycle
+    EXPECT_EQ(rig.cpu.superblock_stats().block_insns, 2u);
+    EXPECT_EQ(hooks.events,
+              (std::vector<std::string>{
+                  HookLog::fetch(kCode, phys, 5), HookLog::write(kEax),
+                  HookLog::fetch(kCode + 5, phys + 5, 5), HookLog::write(kEbx),
+                  HookLog::fetch(kCode + 10, phys + 10, len)}));
+
+    // Single-stepping the same program agrees on everything.
+    Rig stepped(false);
+    HookLog step_hooks;
+    stepped.load(program);
+    stepped.cpu.set_trace_sink(&step_hooks);
+    isa::StepResult rs;
+    for (u32 k = 0; k < 3; ++k) rs = stepped.cpu.step();
+    ASSERT_EQ(rs.status, isa::StepStatus::kTrap);
+    EXPECT_EQ(rs.trap.cause, r.trap.cause);
+    EXPECT_EQ(rs.trap.pc, r.trap.pc);
+    EXPECT_EQ(rs.trap.aux, r.trap.aux);
+    EXPECT_EQ(stepped.cpu.cycles(), rig.cpu.cycles());
+    EXPECT_EQ(stepped.cpu.snapshot().words, rig.cpu.snapshot().words);
+    EXPECT_EQ(step_hooks.events, hooks.events);
+  }
+}
+
+TEST(CiscaSuperblockTest, TrapInstructionSingleStepMatchesTheContract) {
+  // Alone at block start (a dispatch of one) and through step(), with
+  // fast paths on and off.
+  for (const TrapCase& tc : trap_cases()) {
+    SCOPED_TRACE(tc.name);
+    const u32 len = static_cast<u32>(tc.bytes.size());
+    const Addr trap_pc = kCode + (tc.advances ? len : 0);
+    for (const bool via_block : {true, false}) {
+      SCOPED_TRACE(via_block ? "step_block" : "step");
+      Rig rig(via_block);
+      HookLog hooks;
+      rig.load(tc.bytes);
+      rig.cpu.set_trace_sink(&hooks);
+      const u32 phys = rig.space.translate(kCode, 1, mem::Access::kRead).phys;
+      u64 consumed = 0;
+      const isa::StepResult r =
+          via_block ? rig.cpu.step_block({}, &consumed) : rig.cpu.step();
+      ASSERT_EQ(r.status, isa::StepStatus::kTrap);
+      EXPECT_EQ(r.trap.cause, static_cast<u32>(tc.cause));
+      EXPECT_EQ(r.trap.pc, trap_pc);
+      EXPECT_FALSE(r.trap.has_addr);
+      EXPECT_EQ(r.trap.aux, tc.aux);
+      EXPECT_EQ(r.num_data_hits, 0u);
+      EXPECT_EQ(rig.cpu.pc(), trap_pc);
+      EXPECT_EQ(rig.cpu.cycles(), 1u);
+      if (via_block) {
+        EXPECT_EQ(consumed, 1u);
+      }
+      EXPECT_EQ(hooks.events, (std::vector<std::string>{
+                                  HookLog::fetch(kCode, phys, len)}));
+      // The trap is delivered once: the next instruction runs normally.
+      rig.space.vwrite8(rig.cpu.pc(), 0xF4);  // hlt
+      EXPECT_EQ(rig.cpu.step().status, isa::StepStatus::kHalted);
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <map>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -96,18 +97,30 @@ struct FuzzRig {
 /// A random code word.  cisca takes raw random bytes; riscf's opcode map is
 /// sparse, so three words in four get a primary opcode the decoder knows
 /// (loads and stores with a small aligned displacement), or nearly every
-/// run would end at its first illegal instruction.
+/// run would end at its first illegal instruction.  One word in sixteen
+/// opens on a trap instruction, so both trap delivery paths run often:
+/// cisca's int 0x80/0x83 and riscf's sc post their traps, while int 0x82,
+/// int with any other vector and ud2 throw.
 template <typename Cpu>
 u32 random_code_word(Rng& rng) {
   const u32 word = rng.next_u32();
+  const bool trap = rng.below(16) == 0;
   if constexpr (std::is_same_v<Cpu, riscf::RiscfCpu>) {
     static constexpr u32 kPrimary[] = {7,  10, 11, 12, 14, 15, 16, 18, 21,
                                        24, 25, 28, 31, 32, 33, 34, 36, 37,
                                        38, 40, 44};
+    if (trap) return (17u << 26) | (word & 0x03FFFFFDu) | 2;  // sc
     if (rng.below(4) == 0) return word;
     const u32 op = kPrimary[rng.below(std::size(kPrimary))];
     const u32 d = op >= 32 ? (word & 0xFC) : (word & 0xFFFF);
     return (op << 26) | (word & 0x03FF0000u) | d;
+  }
+  if (trap) {
+    // Little-endian: the low byte is the first byte in memory.
+    static constexpr u32 kTraps[] = {0x80CD, 0x83CD, 0x82CD, 0x00CD, 0x0B0F};
+    u32 bytes = kTraps[rng.below(std::size(kTraps))];
+    if (bytes == 0x00CD) bytes |= word & 0xFF00;  // a random vector
+    return (word & 0xFFFF0000u) | bytes;
   }
   return word;
 }
@@ -150,6 +163,7 @@ void fuzz_cpu(mem::Endian endian, u64 seed) {
   };
   write_code(kCode, kCode + kCodeBytes);
   u64 data_hits = 0;
+  std::map<u32, u64> trap_causes;  // block-path traps by cause
   for (u32 round = 0; round < 1000; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     // Fresh code in a random window, start pc, registers and breakpoints,
@@ -209,6 +223,7 @@ void fuzz_cpu(mem::Endian endian, u64 seed) {
         ASSERT_EQ(rb.data_hits[h].is_write, rs.data_hits[h].is_write);
       }
       data_hits += rb.num_data_hits;
+      if (rb.status == isa::StepStatus::kTrap) ++trap_causes[rb.trap.cause];
       ASSERT_TRUE(blocked.cpu.registers_equal(stepped.cpu.snapshot()))
           << "dispatch " << dispatch;
       ASSERT_EQ(blocked.cpu.cycles(), stepped.cpu.cycles())
@@ -232,6 +247,20 @@ void fuzz_cpu(mem::Endian endian, u64 seed) {
   EXPECT_GT(sb.block_insns, sb.dispatches);
   EXPECT_GT(sb.invalidations, 0u);
   EXPECT_GT(data_hits, 0u);
+  // Both trap delivery paths: the posted traps of the syscall instructions
+  // and the thrown ones of their rarer siblings.
+  const auto hit = [&](auto cause) {
+    return trap_causes[static_cast<u32>(cause)];
+  };
+  if constexpr (kRiscf) {
+    EXPECT_GT(hit(riscf::Cause::kSyscall), 0u);
+    EXPECT_GT(hit(riscf::Cause::kTrapWord), 0u);
+  } else {
+    EXPECT_GT(hit(cisca::Cause::kSyscall), 0u);
+    EXPECT_GT(hit(cisca::Cause::kSyscallReturn), 0u);
+    EXPECT_GT(hit(cisca::Cause::kKernelPanic), 0u);
+    EXPECT_GT(hit(cisca::Cause::kInvalidOpcode), 0u);
+  }
 }
 
 TEST(FuzzTest, CiscaExecutesRandomBytesWithoutHostFaults) {

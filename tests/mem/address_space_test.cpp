@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace kfi::mem {
@@ -9,8 +11,10 @@ namespace {
 
 TEST(AddressSpaceTest, MapRegionAllocatesFrames) {
   AddressSpace space(64 * 1024, Endian::kLittle);
-  const Region& a = space.map_region("a", 0x10000, 4096, {.read = true});
-  const Region& b = space.map_region("b", 0x20000, 4096, {.read = true});
+  // Copies: the second map_region may reallocate the region table, which
+  // would leave a reference to the first record dangling.
+  const Region a = space.map_region("a", 0x10000, 4096, {.read = true});
+  const Region b = space.map_region("b", 0x20000, 4096, {.read = true});
   EXPECT_EQ(a.size, 4096u);
   EXPECT_EQ(b.size, 4096u);
   // Distinct regions get distinct physical frames.
@@ -77,6 +81,46 @@ TEST(AddressSpaceTest, BulkBytesRoundTrip) {
   std::vector<u8> out(100);
   space.vread_bytes(0x2F00, out.data(), 100);
   EXPECT_EQ(out, data);
+}
+
+TEST(AddressSpaceTest, HostAccessChecksMappingAndReadability) {
+  // Host accessors ignore write and execute permissions, but the first
+  // page must be mapped and readable; each refusal names its cause.
+  AddressSpace space(64 * 1024, Endian::kLittle);
+  space.map_region("xo", 0x1000, 4096, {.execute = true});
+  space.map_region("wo", 0x2000, 4096, {.write = true});
+  space.map_region("bus", 0x3000, 4096, {.read = true, .bus = true});
+  const auto message = [&](Addr va) -> std::string {
+    try {
+      space.vread8(va);
+    } catch (const InternalError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_NE(message(0x5004).find("host access to unmapped va 0x00005004"),
+            std::string::npos);
+  for (const Addr va : {0x1000u, 0x2FFFu, 0x3800u}) {
+    EXPECT_NE(message(va).find("host access to unreadable page"),
+              std::string::npos)
+        << std::hex << va;
+  }
+}
+
+TEST(AddressSpaceTest, HostAccessAcrossAPageReadsTheNextFrame) {
+  // A word access that runs off a readable page into an unmapped or
+  // unreadable one reads on into the next physical frame; into a readable
+  // page on any other frame it is a simulator invariant failure.
+  AddressSpace space(64 * 1024, Endian::kLittle);
+  space.map_region("a", 0x1000, 4096, {.read = true, .write = true});
+  space.map_region("b", 0x8000, 4096, {.read = true, .write = true});
+  space.map_region("c", 0x9000, 4096, {.read = true, .write = true});
+  space.vwrite32(0x1FFC, 0x11223344);  // frame 1
+  space.vwrite32(0x8000, 0xAABBCCDD);  // frame 2, right after it
+  EXPECT_EQ(space.vread32(0x1FFE), 0xCCDD1122u);  // 0x2000 is unmapped
+  space.mmu().unmap(0x9000, 1);
+  space.mmu().map(0x9000, 0x6000, 1, {.read = true});
+  EXPECT_THROW(space.vread32(0x8FFE), InternalError);
 }
 
 }  // namespace

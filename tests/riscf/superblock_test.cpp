@@ -7,9 +7,13 @@
 // CPU with its fast paths off running the identical program.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/address_space.hpp"
 #include "riscf/cpu.hpp"
 #include "riscf/encode.hpp"
+#include "trace/sink.hpp"
 
 namespace kfi::riscf {
 namespace {
@@ -277,6 +281,187 @@ TEST(RiscfSuperblockTest, DataBreakpointHitEndsTheDispatchAfterThatInsn) {
   EXPECT_EQ(rig.cpu.regs().gpr[4], 0u);  // the next insn did not run
   EXPECT_EQ(rig.run().status, isa::StepStatus::kTrap);
   EXPECT_EQ(rig.cpu.regs().gpr[4], 2u);
+}
+
+// Trap-instruction contract.  sc runs on every kernel entry and exit; tw
+// (the kernel's BUG trap) is rarer.  Whichever way a CPU delivers them, a
+// trapping instruction must end its dispatch with the same status, trap
+// and cycle charge as single-stepping, count one machine-loop iteration
+// for the trap, and leave the trace showing its fetch and operand reads
+// but no retirement (no register-write hooks).
+
+/// Records the CPU-side trace hooks in call order.
+class HookLog final : public trace::TraceSink {
+ public:
+  std::vector<std::string> events;
+
+  void on_insn_fetch(trace::RegSlot slot, Addr pc, u32 phys1, u32 len1,
+                     u32 phys2, u32 len2) override {
+    add("fetch", {slot, pc, phys1, len1, phys2, len2});
+  }
+  void on_reg_read(trace::RegSlot slot) override { add("read", {slot}); }
+  void on_reg_write(trace::RegSlot slot) override { add("write", {slot}); }
+  void on_reg_merge(trace::RegSlot slot) override { add("merge", {slot}); }
+  void on_mem_read(Addr va, u32 phys, u32 len) override {
+    add("mem_read", {va, phys, len});
+  }
+  void on_mem_write(Addr va, u32 phys, u32 len) override {
+    add("mem_write", {va, phys, len});
+  }
+  void on_branch_decision() override { add("branch", {}); }
+  void on_priv_transition(trace::PrivEvent) override { add("priv", {}); }
+  void on_ctx_save(trace::RegSlot, u32) override { add("ctx_save", {}); }
+  void on_ctx_restore(trace::RegSlot, u32) override {
+    add("ctx_restore", {});
+  }
+  void on_glue_reg_set(trace::RegSlot) override { add("glue_set", {}); }
+  void on_glue_mem_set(u32, u32) override { add("glue_mem", {}); }
+  void on_glue_reg_copy(trace::RegSlot, trace::RegSlot) override {
+    add("glue_copy", {});
+  }
+  void on_syscall_result(trace::RegSlot) override { add("result", {}); }
+
+  static std::string fetch(Addr pc, u32 phys) {
+    return format("fetch", {kSlotPc, pc, phys, 4, 0, 0});
+  }
+  static std::string read(trace::RegSlot slot) {
+    return format("read", {slot});
+  }
+  static std::string write(trace::RegSlot slot) {
+    return format("write", {slot});
+  }
+
+ private:
+  static std::string format(const char* name, std::vector<u32> args) {
+    std::string out = name;
+    for (const u32 a : args) out += " " + std::to_string(a);
+    return out;
+  }
+  void add(const char* name, std::vector<u32> args) {
+    events.push_back(format(name, std::move(args)));
+  }
+};
+
+struct TrapCase {
+  const char* name;
+  u32 word;  // the trapping instruction
+  Cause cause;
+  u32 aux;
+  bool advances;                         // the trap pc is the return address
+  std::vector<std::string> read_hooks;  // its operand reads, before it runs
+};
+
+std::vector<TrapCase> trap_cases() {
+  const auto encode = [](auto emit) {
+    Asm a(kCode);
+    emit(a);
+    const std::vector<u8> b = a.finish();
+    return (u32{b[0]} << 24) | (u32{b[1]} << 16) | (u32{b[2]} << 8) | b[3];
+  };
+  const u32 tw = encode([](Asm& a) { a.trap(); });
+  return {
+      {"sc", encode([](Asm& a) { a.sc(); }), Cause::kSyscall, 0, true, {}},
+      {"tw 31,0,0", tw, Cause::kTrapWord, tw, false,
+       {HookLog::read(0), HookLog::read(0)}},
+  };
+}
+
+std::vector<u8> word_bytes(u32 word) {
+  return {static_cast<u8>(word >> 24), static_cast<u8>(word >> 16),
+          static_cast<u8>(word >> 8), static_cast<u8>(word)};
+}
+
+TEST(RiscfSuperblockTest, TrapInstructionAtBlockEndMatchesTheContract) {
+  for (const TrapCase& tc : trap_cases()) {
+    SCOPED_TRACE(tc.name);
+    Asm a(kCode);
+    a.li(3, 1);            // + 0
+    a.li(4, 2);            // + 4
+    a.emit_word(tc.word);  // + 8
+    const std::vector<u8> program = a.finish();
+    const Addr trap_pc = kCode + 8 + (tc.advances ? 4 : 0);
+
+    Rig rig(true);
+    HookLog hooks;
+    rig.load(program);
+    rig.cpu.set_trace_sink(&hooks);
+    const u32 phys = rig.space.translate(kCode, 4, mem::Access::kRead).phys;
+    u64 consumed = 0;
+    const isa::StepResult r = rig.cpu.step_block({}, &consumed);
+    ASSERT_EQ(r.status, isa::StepStatus::kTrap);
+    EXPECT_EQ(r.trap.cause, static_cast<u32>(tc.cause));
+    EXPECT_EQ(r.trap.pc, trap_pc);
+    EXPECT_FALSE(r.trap.has_addr);
+    EXPECT_EQ(r.trap.aux, tc.aux);
+    EXPECT_EQ(rig.cpu.pc(), trap_pc);
+    EXPECT_EQ(consumed, 3u);          // two retire, one for the trap
+    EXPECT_EQ(rig.cpu.cycles(), 3u);  // the trap is charged one cycle
+    EXPECT_EQ(rig.cpu.superblock_stats().block_insns, 2u);
+    std::vector<std::string> expected = {
+        HookLog::fetch(kCode, phys), HookLog::write(3),
+        HookLog::fetch(kCode + 4, phys + 4), HookLog::write(4),
+        HookLog::fetch(kCode + 8, phys + 8)};
+    expected.insert(expected.end(), tc.read_hooks.begin(),
+                    tc.read_hooks.end());
+    EXPECT_EQ(hooks.events, expected);
+
+    // Single-stepping the same program agrees on everything.
+    Rig stepped(false);
+    HookLog step_hooks;
+    stepped.load(program);
+    stepped.cpu.set_trace_sink(&step_hooks);
+    isa::StepResult rs;
+    for (u32 k = 0; k < 3; ++k) rs = stepped.cpu.step();
+    ASSERT_EQ(rs.status, isa::StepStatus::kTrap);
+    EXPECT_EQ(rs.trap.cause, r.trap.cause);
+    EXPECT_EQ(rs.trap.pc, r.trap.pc);
+    EXPECT_EQ(rs.trap.aux, r.trap.aux);
+    EXPECT_EQ(stepped.cpu.cycles(), rig.cpu.cycles());
+    EXPECT_EQ(stepped.cpu.snapshot().words, rig.cpu.snapshot().words);
+    EXPECT_EQ(step_hooks.events, hooks.events);
+  }
+}
+
+TEST(RiscfSuperblockTest, TrapInstructionSingleStepMatchesTheContract) {
+  // Alone at block start (a dispatch of one) and through step(), with
+  // fast paths on and off.
+  for (const TrapCase& tc : trap_cases()) {
+    SCOPED_TRACE(tc.name);
+    const Addr trap_pc = kCode + (tc.advances ? 4 : 0);
+    for (const bool via_block : {true, false}) {
+      SCOPED_TRACE(via_block ? "step_block" : "step");
+      Rig rig(via_block);
+      HookLog hooks;
+      rig.load(word_bytes(tc.word));
+      rig.cpu.set_trace_sink(&hooks);
+      const u32 phys = rig.space.translate(kCode, 4, mem::Access::kRead).phys;
+      u64 consumed = 0;
+      const isa::StepResult r =
+          via_block ? rig.cpu.step_block({}, &consumed) : rig.cpu.step();
+      ASSERT_EQ(r.status, isa::StepStatus::kTrap);
+      EXPECT_EQ(r.trap.cause, static_cast<u32>(tc.cause));
+      EXPECT_EQ(r.trap.pc, trap_pc);
+      EXPECT_FALSE(r.trap.has_addr);
+      EXPECT_EQ(r.trap.aux, tc.aux);
+      EXPECT_EQ(r.num_data_hits, 0u);
+      EXPECT_EQ(rig.cpu.pc(), trap_pc);
+      EXPECT_EQ(rig.cpu.cycles(), 1u);
+      if (via_block) {
+        EXPECT_EQ(consumed, 1u);
+      }
+      std::vector<std::string> expected = {HookLog::fetch(kCode, phys)};
+      expected.insert(expected.end(), tc.read_hooks.begin(),
+                      tc.read_hooks.end());
+      EXPECT_EQ(hooks.events, expected);
+      // The trap is delivered once: the next instruction runs normally.
+      Asm next(trap_pc);
+      next.li(5, 9);
+      const std::vector<u8> li = next.finish();
+      rig.space.vwrite_bytes(trap_pc, li.data(), 4);
+      EXPECT_EQ(rig.cpu.step().status, isa::StepStatus::kOk);
+      EXPECT_EQ(rig.cpu.regs().gpr[5], 9u);
+    }
+  }
 }
 
 }  // namespace

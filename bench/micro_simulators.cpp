@@ -142,12 +142,16 @@ void BM_RawInstructionRate(benchmark::State& state) {
   state.counters["sb_mean_block_len"] = sb.mean_block_len();
   state.counters["sb_invalidated"] = static_cast<double>(sb.invalidations);
 }
+// A fixed iteration count runs the same syscalls from the same boot state
+// every time, so the block counters repeat bit-for-bit across runs and
+// commits (an adaptive count would vary them with the host's speed).
 BENCHMARK(BM_RawInstructionRate)
     ->Args({0, 0})
     ->Args({1, 0})
     ->Args({0, 1})
     ->Args({1, 1})
-    ->ArgNames({"arch", "reference"});
+    ->ArgNames({"arch", "reference"})
+    ->Iterations(10000);
 
 }  // namespace
 

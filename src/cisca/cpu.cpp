@@ -45,7 +45,8 @@ CiscaCpu::~CiscaCpu() = default;
 
 isa::SystemRegisterBank& CiscaCpu::sysregs() { return *sysregs_; }
 
-void CiscaCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
+isa::Trap CiscaCpu::make_trap(Cause cause, Addr addr, bool has_addr,
+                              u32 aux) {
   isa::Trap trap;
   trap.cause = static_cast<u32>(cause);
   trap.pc = regs_.eip;
@@ -53,7 +54,7 @@ void CiscaCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
   trap.has_addr = has_addr;
   trap.aux = aux;
   if (cause == Cause::kPageFault) regs_.cr2 = addr;
-  throw TrapException{trap};
+  return trap;
 }
 
 FetchWindow CiscaCpu::fetch_window(Addr pc) const {
@@ -344,6 +345,11 @@ isa::StepResult CiscaCpu::step() {
     }
     execute(dec.insn);
     cycles_ += 1;
+    if (posted_trap_) {
+      result.status = isa::StepStatus::kTrap;
+      result.trap = *posted_trap_;
+      posted_trap_.reset();
+    }
   } catch (const TrapException& te) {
     result.status = isa::StepStatus::kTrap;
     result.trap = te.trap;
@@ -359,9 +365,9 @@ isa::StepResult CiscaCpu::step() {
 // Per-op execute handlers.  Each is the corresponding case body of the old
 // execute() switch, verbatim: fall-through ops advance EIP at the end,
 // branch ops assign EIP and charge their taken-branch cycles, raising ops
-// throw before any EIP update.  Superblocks dispatch through these
-// pointers directly, so the switch is resolved once per block at build
-// time instead of once per instruction.
+// throw (or post, see post_trap) before any EIP update.  Superblocks
+// dispatch through these pointers directly, so the switch is resolved once
+// per block at build time instead of once per instruction.
 struct CiscaOps {
   static void add(CiscaCpu& c, const Insn& insn) {
     const u8 w = insn.width;
@@ -570,12 +576,12 @@ struct CiscaOps {
     (void)insn;
     c.raise(Cause::kBreakpointTrap);
   }
-  [[noreturn]] static void int_(CiscaCpu& c, const Insn& insn) {
+  static void int_(CiscaCpu& c, const Insn& insn) {
     c.regs_.eip += insn.length;  // trap handlers see the return address
     switch (insn.int_vector) {
-      case 0x80: c.raise(Cause::kSyscall);
+      case 0x80: return c.post_trap(Cause::kSyscall);
+      case 0x83: return c.post_trap(Cause::kSyscallReturn);
       case 0x82: c.raise(Cause::kKernelPanic);
-      case 0x83: c.raise(Cause::kSyscallReturn);
       default: c.raise(Cause::kGeneralProtection, 0, false, insn.int_vector);
     }
   }

@@ -120,8 +120,20 @@ class CiscaCpu final : public isa::CpuCore {
   static constexpr u32 kSnapshotWords = 28;
   std::array<u32, kSnapshotWords> snapshot_words() const;
 
+  /// The trap for `cause` at the current EIP, with its side effects on
+  /// the registers (CR2 for a page fault) applied.
+  isa::Trap make_trap(Cause cause, Addr addr, bool has_addr, u32 aux);
   [[noreturn]] void raise(Cause cause, Addr addr = 0, bool has_addr = false,
-                          u32 aux = 0);
+                          u32 aux = 0) {
+    throw TrapException{make_trap(cause, addr, has_addr, aux)};
+  }
+  /// Trap instructions that run on every kernel entry and exit post their
+  /// trap here and return instead of throwing; step() and the superblock
+  /// engine deliver it right after the handler, exactly as their catch
+  /// would have.
+  void post_trap(Cause cause) {
+    posted_trap_ = make_trap(cause, 0, false, 0);
+  }
   FetchWindow fetch_window(Addr pc) const;
   u32 effective_addr(const MemOperand& mem);
   u32 resolve_seg_base(SegOverride seg, u32 offset);
@@ -161,6 +173,7 @@ class CiscaCpu final : public isa::CpuCore {
   isa::DebugUnit debug_;
   Cycles cycles_ = 0;
   isa::StepResult* current_result_ = nullptr;
+  std::optional<isa::Trap> posted_trap_;  // see post_trap()
   trace::TraceSink* sink_ = nullptr;
   Addr stack_lo_ = 0, stack_hi_ = 0;
   bool halted_pending_ = false;

@@ -25,7 +25,16 @@
 //   take_halt()          clear and return a pending halt (a halt ends its
 //                        block, so it is checked once per dispatch)
 // and reads the state both models name alike: step(), pc(), space_,
-// debug_, cycles_, current_result_, sink_ and TrapException.
+// debug_, cycles_, current_result_, sink_, posted_trap_ and TrapException.
+//
+// Traps reach the engine two ways.  Faults raised deep inside operand,
+// memory and decode helpers throw TrapException and are caught once per
+// dispatch.  The trap instructions every kernel entry and exit runs
+// (cisca int 0x80/0x83, riscf sc) instead post their trap in posted_trap_
+// and return, so the hot path never unwinds; the engine checks the slot
+// right after each handler.  Both paths set the same status and trap,
+// charge the same cycle, skip trace_retire and leave the instruction out
+// of `done`.
 #pragma once
 
 #include <vector>
@@ -120,6 +129,14 @@ class SuperblockEngine {
         const BlockInsn& bi = blk.insns[i];
         if (cpu.sink_ != nullptr) cpu.trace_fetch(bi.insn, bi.phys);
         bi.fn(cpu, bi.insn);
+        if (cpu.posted_trap_) {
+          // A posted trap: deliver it exactly as the catch below would.
+          result.status = StepStatus::kTrap;
+          result.trap = *cpu.posted_trap_;
+          cpu.posted_trap_.reset();
+          cpu.cycles_ += 1;
+          break;
+        }
         if (cpu.sink_ != nullptr) cpu.trace_retire(bi.insn);
         cpu.cycles_ += 1;
         ++done;

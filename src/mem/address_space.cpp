@@ -31,21 +31,22 @@ const Region& AddressSpace::note_unmapped(const std::string& name, Addr base,
 
 u32 AddressSpace::must_translate(Addr va, u32 len) const {
   // Raw accessors are for trusted host-side code (loader, injector, kernel
-  // glue); they bypass permissions but still require a mapping.
-  const auto it = mmu_.perms_of(va);
-  if (!it.has_value()) {
+  // glue); they bypass the write and execute permissions but still require
+  // a mapping whose first page is readable.
+  const auto page = mmu_.lookup(va);
+  if (!page.has_value()) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "host access to unmapped va 0x%08x", va);
     KFI_CHECK(false, buf);
   }
-  const auto res = mmu_.translate(va, len, Access::kRead);
-  if (res.ok()) return res.phys;
-  // Mapped but e.g. execute-only: recompute physical by hand.
-  const auto res2 = mmu_.translate(va & ~(kPageSize - 1), 1, Access::kRead);
-  if (res2.ok()) return res2.phys | (va & (kPageSize - 1));
-  // Fall back: page exists, permissions deny read — translate manually.
-  KFI_CHECK(false, "host access to unreadable page");
-  return 0;
+  KFI_CHECK(page->perms.read && !page->perms.bus,
+            "host access to unreadable page");
+  // A page-crossing access reads on into the next physical frame; a second
+  // page that is readable must then be that frame (translate checks it).
+  if ((((va + len - 1) ^ va) >> kPageShift) != 0) {
+    (void)mmu_.translate(va, len, Access::kRead);
+  }
+  return page->frame_base | (va & kPageMask);
 }
 
 u8 AddressSpace::vread8(Addr va) const { return phys_.read8(must_translate(va, 1)); }

@@ -26,7 +26,8 @@ RiscfCpu::~RiscfCpu() = default;
 
 isa::SystemRegisterBank& RiscfCpu::sysregs() { return *sysregs_; }
 
-void RiscfCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
+isa::Trap RiscfCpu::make_trap(Cause cause, Addr addr, bool has_addr,
+                              u32 aux) {
   isa::Trap trap;
   trap.cause = static_cast<u32>(cause);
   trap.pc = regs_.pc;
@@ -44,7 +45,7 @@ void RiscfCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
   if (cause == Cause::kMachineCheck && (regs_.msr & kMsrME) == 0) {
     trap.aux = 1;
   }
-  throw TrapException{trap};
+  return trap;
 }
 
 void RiscfCpu::check_alignment(Addr ea, u8 width) {
@@ -259,7 +260,13 @@ isa::StepResult RiscfCpu::step() {
     }
     if (sink_ != nullptr) trace_fetch(insn, tr.phys);
     execute(insn);
-    if (sink_ != nullptr) trace_retire(insn);
+    if (posted_trap_) {
+      result.status = isa::StepStatus::kTrap;
+      result.trap = *posted_trap_;
+      posted_trap_.reset();
+    } else if (sink_ != nullptr) {
+      trace_retire(insn);
+    }
     cycles_ += 1;
   } catch (const TrapException& te) {
     result.status = isa::StepStatus::kTrap;
@@ -272,10 +279,10 @@ isa::StepResult RiscfCpu::step() {
 
 // Per-op execute handlers.  Each is the corresponding case body of the old
 // execute() switch, verbatim: fall-through ops advance the PC at the end,
-// branch ops assign the PC themselves, raising ops throw before any PC
-// update.  Superblocks dispatch through these pointers directly, so the
-// switch is resolved once per block at build time instead of once per
-// instruction.
+// branch ops assign the PC themselves, raising ops throw (or post, see
+// post_trap) before any PC update.  Superblocks dispatch through these
+// pointers directly, so the switch is resolved once per block at build
+// time instead of once per instruction.
 struct RiscfOps {
   static void addi(RiscfCpu& c, const Insn& insn) {
     c.regs_.gpr[insn.rt] = (insn.ra == 0 ? 0 : c.regs_.gpr[insn.ra]) +
@@ -430,10 +437,10 @@ struct RiscfOps {
     }
     c.regs_.pc = next;
   }
-  [[noreturn]] static void sc(RiscfCpu& c, const Insn& insn) {
+  static void sc(RiscfCpu& c, const Insn& insn) {
     (void)insn;
     c.regs_.pc += 4;
-    c.raise(Cause::kSyscall);
+    c.post_trap(Cause::kSyscall);
   }
   static void add(RiscfCpu& c, const Insn& insn) {
     c.regs_.gpr[insn.rt] = c.regs_.gpr[insn.ra] + c.regs_.gpr[insn.rb];

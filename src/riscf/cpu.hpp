@@ -16,6 +16,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "isa/cpu.hpp"
 #include "isa/superblock.hpp"
@@ -104,8 +105,19 @@ class RiscfCpu final : public isa::CpuCore {
   template <class F>
   void for_each_snapshot_word(F&& f) const;
 
+  /// The trap for `cause` at the current PC, with its side effects on the
+  /// registers (DAR/DSISR for storage faults) applied.
+  isa::Trap make_trap(Cause cause, Addr addr, bool has_addr, u32 aux);
   [[noreturn]] void raise(Cause cause, Addr addr = 0, bool has_addr = false,
-                          u32 aux = 0);
+                          u32 aux = 0) {
+    throw TrapException{make_trap(cause, addr, has_addr, aux)};
+  }
+  /// `sc` runs on every kernel entry and exit, so it posts its trap here
+  /// and returns instead of throwing; step() and the superblock engine
+  /// deliver it right after the handler, exactly as their catch would have.
+  void post_trap(Cause cause) {
+    posted_trap_ = make_trap(cause, 0, false, 0);
+  }
   u32 read_mem(Addr addr, u8 width);
   void write_mem(Addr addr, u8 width, u32 value);
   void check_alignment(Addr ea, u8 width);
@@ -147,6 +159,7 @@ class RiscfCpu final : public isa::CpuCore {
   Cycles cycles_ = 0;
   u64 cycle_reads_ = 0;  // mftb executions (see cycle_reads())
   isa::StepResult* current_result_ = nullptr;
+  std::optional<isa::Trap> posted_trap_;  // see post_trap()
   trace::TraceSink* sink_ = nullptr;
   std::map<u32, u32> spr_storage_;  // inert supervisor SPRs (BATs, PMCs, ...)
   Superblocks sb_;
